@@ -5,6 +5,7 @@ use ptsim_common::config::{DramConfig, MemSchedulerPolicy};
 use ptsim_common::{Cycle, RequestId};
 use ptsim_obs::CounterHub;
 use ptsim_trace::Tracer;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One transaction-granularity memory request.
@@ -56,10 +57,13 @@ struct Bank {
     write_recovery_until: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Queued {
     req: MemRequest,
     arrival: u64,
+    /// `bank_and_row(req.addr)`, decoded once at admission.
+    bank: usize,
+    row: u64,
 }
 
 /// Derived timing, in core cycles.
@@ -76,7 +80,9 @@ struct Timing {
 /// One DRAM channel.
 #[derive(Debug, Clone)]
 pub(crate) struct Channel {
-    queue: Vec<Queued>,
+    /// Admitted requests in admission order (which is *not* arrival order:
+    /// callers may enqueue with non-monotone timestamps).
+    queue: VecDeque<Queued>,
     banks: Vec<Bank>,
     timing: Timing,
     policy: MemSchedulerPolicy,
@@ -89,9 +95,15 @@ pub(crate) struct Channel {
     /// Data-bus free time.
     bus_free: u64,
     /// Scheduled requests whose data has not yet been delivered, as
-    /// `(finish_cycle, request id)` in a min-heap.
-    inflight: std::collections::BinaryHeap<std::cmp::Reverse<(u64, RequestId)>>,
+    /// `(finish_cycle, request id)`. A FIFO is a min-queue here: every
+    /// transfer starts at or after `bus_free`, the previous `finish`, and
+    /// lasts `burst >= 1` cycles, so `finish` is strictly increasing.
+    inflight: VecDeque<(u64, RequestId)>,
     stats: DramStats,
+    /// Bytes of the current run of same-tag requests, not yet folded into
+    /// `stats.bytes_by_tag`: a DMA stream carries one tag for thousands of
+    /// transactions, which keeps the map off the per-transaction path.
+    tag_run: Option<(u32, u64)>,
     /// This channel's index, used as the trace track id.
     index: usize,
     tracer: Option<Arc<Tracer>>,
@@ -102,7 +114,7 @@ impl Channel {
     pub(crate) fn new(cfg: &DramConfig, freq_mhz: f64) -> Self {
         let t = |ns: f64| cfg.timing_cycles(ns, freq_mhz);
         Channel {
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             banks: vec![Bank::default(); cfg.banks_per_channel],
             timing: Timing {
                 t_cl: t(cfg.t_cl_ns),
@@ -119,8 +131,9 @@ impl Channel {
             tx_bytes: cfg.transaction_bytes,
             time: 0,
             bus_free: 0,
-            inflight: std::collections::BinaryHeap::new(),
+            inflight: VecDeque::new(),
             stats: DramStats::default(),
+            tag_run: None,
             index: 0,
             tracer: None,
             counters: None,
@@ -153,7 +166,8 @@ impl Channel {
         if self.queue.len() >= self.queue_depth {
             return false;
         }
-        self.queue.push(Queued { req, arrival: now.raw() });
+        let (bank, row) = self.bank_and_row(req.addr);
+        self.queue.push_back(Queued { req, arrival: now.raw(), bank, row });
         true
     }
 
@@ -165,21 +179,22 @@ impl Channel {
         self.queue_depth - self.queue.len()
     }
 
-    pub(crate) fn stats(&self) -> &DramStats {
-        &self.stats
+    /// Adds this channel's counters, the pending tag run included, to `total`.
+    pub(crate) fn merge_stats_into(&self, total: &mut DramStats) {
+        total.merge(&self.stats);
+        if let Some((tag, bytes)) = self.tag_run {
+            total.add_tag_bytes(tag, bytes);
+        }
     }
 
     /// Earliest future time at which this channel has work to report:
     /// either a scheduled request's data delivery (exact) or, when nothing
     /// is in flight, a lower bound for scheduling a queued request.
     pub(crate) fn next_event(&self) -> Option<Cycle> {
-        if let Some(&std::cmp::Reverse((finish, _))) = self.inflight.peek() {
+        if let Some(&(finish, _)) = self.inflight.front() {
             return Some(Cycle::new(finish));
         }
-        if self.queue.is_empty() {
-            return None;
-        }
-        let arrival = self.queue.iter().map(|q| q.arrival).min().expect("non-empty");
+        let arrival = self.queue.iter().map(|q| q.arrival).min()?;
         Some(Cycle::new(arrival.max(self.time) + 1))
     }
 
@@ -188,11 +203,11 @@ impl Channel {
     pub(crate) fn advance(&mut self, to: Cycle, completed: &mut Vec<(RequestId, Cycle)>) {
         let horizon = to.raw();
         self.schedule(horizon);
-        while let Some(&std::cmp::Reverse((finish, rid))) = self.inflight.peek() {
+        while let Some(&(finish, rid)) = self.inflight.front() {
             if finish > horizon {
                 break;
             }
-            self.inflight.pop();
+            self.inflight.pop_front();
             completed.push((rid, Cycle::new(finish)));
         }
     }
@@ -204,45 +219,44 @@ impl Channel {
                 self.time = self.time.max(horizon);
                 return;
             }
-            // Only consider requests that have arrived by the frontier.
-            let arrived: Vec<usize> =
-                (0..self.queue.len()).filter(|&i| self.queue[i].arrival <= self.time).collect();
-            if arrived.is_empty() {
-                // Jump the frontier to the next arrival if within range.
-                let next_arrival = self.queue.iter().map(|q| q.arrival).min().expect("non-empty");
+            // One pass in admission order over the requests that have
+            // arrived by the frontier: FR-FCFS takes the oldest row hit,
+            // else (like FCFS) the oldest arrived.
+            let mut pick: Option<(usize, Queued)> = None;
+            let mut next_arrival = u64::MAX;
+            for (i, q) in self.queue.iter().enumerate() {
+                if q.arrival > self.time {
+                    next_arrival = next_arrival.min(q.arrival);
+                } else if self.policy == MemSchedulerPolicy::Fcfs
+                    || self.banks[q.bank].open_row == Some(q.row)
+                {
+                    pick = Some((i, *q));
+                    break;
+                } else if pick.is_none() {
+                    pick = Some((i, *q));
+                }
+            }
+            let Some((slot, q)) = pick else {
+                // Nothing has arrived (so the scan saw every request): jump
+                // the frontier to the next arrival if within range.
                 if next_arrival > horizon {
                     self.time = horizon;
                     return;
                 }
                 self.time = next_arrival;
                 continue;
-            }
-            let pick = match self.policy {
-                MemSchedulerPolicy::FrFcfs => {
-                    // Oldest row-hit first, else oldest.
-                    arrived
-                        .iter()
-                        .copied()
-                        .find(|&i| {
-                            let (bank, row) = self.bank_and_row(self.queue[i].req.addr);
-                            self.banks[bank].open_row == Some(row)
-                        })
-                        .unwrap_or(arrived[0])
-                }
-                MemSchedulerPolicy::Fcfs => arrived[0],
             };
-            let q = self.queue[pick].clone();
-            let (bank_idx, row) = self.bank_and_row(q.req.addr);
-            let bank = self.banks[bank_idx];
+            let bank = self.banks[q.bank];
             let start = self.time.max(bank.busy_until);
             if start > horizon {
                 // Cannot start anything new inside this window.
                 self.time = horizon;
                 return;
             }
+            self.queue.remove(slot);
             // Row-buffer outcome and resulting latency.
             let (outcome, data_at) = match bank.open_row {
-                Some(r) if r == row => (RowOutcome::Hit, start + self.timing.t_cl),
+                Some(r) if r == q.row => (RowOutcome::Hit, start + self.timing.t_cl),
                 Some(_) => {
                     // Precharge the old row (respecting tRAS and write
                     // recovery), activate the new one, then CAS.
@@ -260,7 +274,7 @@ impl Channel {
             let xfer_start = data_at.max(self.bus_free);
             let finish = xfer_start + self.timing.burst;
 
-            let b = &mut self.banks[bank_idx];
+            let b = &mut self.banks[q.bank];
             // Column accesses to an open row pipeline back-to-back (the data
             // bus is the throughput limiter); activations/precharges occupy
             // the bank until the row is open.
@@ -277,7 +291,7 @@ impl Channel {
                     b.busy_until = b.activated_at;
                 }
             }
-            b.open_row = Some(row);
+            b.open_row = Some(q.row);
             if q.req.is_write {
                 b.write_recovery_until = finish + self.timing.t_wr;
             }
@@ -286,6 +300,14 @@ impl Channel {
 
             let latency = finish.saturating_sub(q.arrival);
             self.stats.record(&q.req, outcome, latency);
+            match &mut self.tag_run {
+                Some((tag, bytes)) if *tag == q.req.tag => *bytes += q.req.bytes,
+                run => {
+                    if let Some((tag, bytes)) = run.replace((q.req.tag, q.req.bytes)) {
+                        self.stats.add_tag_bytes(tag, bytes);
+                    }
+                }
+            }
             let row = match outcome {
                 RowOutcome::Hit => ptsim_trace::RowOutcome::Hit,
                 RowOutcome::Miss => ptsim_trace::RowOutcome::Miss,
@@ -297,8 +319,11 @@ impl Channel {
             if let Some(c) = &self.counters {
                 c.record_dram_tx(self.index, finish, q.req.bytes, row);
             }
-            self.inflight.push(std::cmp::Reverse((finish, q.req.id)));
-            self.queue.remove(pick);
+            debug_assert!(
+                self.inflight.back().is_none_or(|&(last, _)| last < finish),
+                "per-channel finish times must be strictly increasing"
+            );
+            self.inflight.push_back((finish, q.req.id));
         }
     }
 }

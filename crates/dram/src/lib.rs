@@ -29,6 +29,8 @@
 //! ```
 
 pub mod channel;
+#[cfg(test)]
+mod reference;
 pub mod shard;
 pub mod stats;
 
@@ -123,7 +125,7 @@ impl DramSim {
     pub fn stats(&self) -> DramStats {
         let mut total = DramStats::default();
         for ch in &self.channels {
-            total.merge(ch.stats());
+            ch.merge_stats_into(&mut total);
         }
         total
     }

@@ -26,7 +26,8 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Records one serviced request.
+    /// Records one serviced request, except for its `bytes_by_tag` share:
+    /// the channel batches that through [`DramStats::add_tag_bytes`].
     pub(crate) fn record(&mut self, req: &MemRequest, outcome: RowOutcome, latency: u64) {
         if req.is_write {
             self.writes += 1;
@@ -40,7 +41,11 @@ impl DramStats {
         }
         self.bytes += req.bytes;
         self.total_latency += latency;
-        *self.bytes_by_tag.entry(req.tag).or_insert(0) += req.bytes;
+    }
+
+    /// Credits `bytes` of serviced traffic to source `tag`.
+    pub(crate) fn add_tag_bytes(&mut self, tag: u32, bytes: u64) {
+        *self.bytes_by_tag.entry(tag).or_insert(0) += bytes;
     }
 
     /// Merges another stats block into this one.
@@ -126,9 +131,11 @@ mod tests {
         let mut a = DramStats::default();
         let r = MemRequest::read(RequestId::new(0), 0, 64, 3);
         a.record(&r, RowOutcome::Hit, 10);
+        a.add_tag_bytes(r.tag, r.bytes);
         let mut b = DramStats::default();
         let w = MemRequest::write(RequestId::new(1), 64, 64, 3);
         b.record(&w, RowOutcome::Conflict, 30);
+        b.add_tag_bytes(w.tag, w.bytes);
         a.merge(&b);
         assert_eq!(a.reads, 1);
         assert_eq!(a.writes, 1);
@@ -153,8 +160,10 @@ mod tests {
         let mut s = DramStats::default();
         let r = MemRequest::read(RequestId::new(0), 0, 64, 3);
         s.record(&r, RowOutcome::Hit, 10);
+        s.add_tag_bytes(r.tag, r.bytes);
         let w = MemRequest::write(RequestId::new(1), 64, 64, 9);
         s.record(&w, RowOutcome::Conflict, 30);
+        s.add_tag_bytes(w.tag, w.bytes);
         assert_eq!(DramStats::from_json_str(&s.to_json_string()).unwrap(), s);
     }
 }

@@ -675,8 +675,10 @@ fn worker_loop(state: &Arc<State>) {
         if let (Ok(body), JobKind::Simulate(_)) = (&outcome, &job.kind) {
             state.results.insert(job.fingerprint, job.canon.clone(), body.clone());
         }
-        guard.complete(outcome);
+        // All bookkeeping before the waiters wake: a `/metrics` scrape
+        // issued right after the response must already see this job gone.
         gauge.sub(1);
+        guard.complete(outcome);
     }
 }
 

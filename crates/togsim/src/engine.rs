@@ -342,8 +342,14 @@ pub struct TogSim {
     jobs: Vec<Job>,
     dma_slab: Vec<DmaJob>,
     tx_refs: HashMap<RequestId, TxRef, BuildHasherDefault<TxHasher>>,
-    retry_dram: Vec<(RequestId, MemRequest)>,
-    retry_noc: Vec<(RequestId, NocMessage)>,
+    /// Transactions refused by a full memory system, parked until it
+    /// drains: one FIFO per DRAM channel (channels fill independently) and
+    /// one for the NoC (its back-pressure is global).
+    retry_dram: Vec<VecDeque<MemRequest>>,
+    retry_noc: VecDeque<NocMessage>,
+    /// Refused `mem_enqueue` calls, for the retry-path bound test.
+    #[cfg(test)]
+    mem_refusals: u64,
     ids: RequestIdGen,
     queue: EventQueue<Event>,
     now: Cycle,
@@ -406,8 +412,10 @@ impl TogSim {
             jobs: Vec::new(),
             dma_slab: Vec::new(),
             tx_refs: HashMap::default(),
-            retry_dram: Vec::new(),
-            retry_noc: Vec::new(),
+            retry_dram: vec![VecDeque::new(); cfg.dram.channels],
+            retry_noc: VecDeque::new(),
+            #[cfg(test)]
+            mem_refusals: 0,
             ids: RequestIdGen::new(),
             queue: EventQueue::new(),
             now: Cycle::ZERO,
@@ -694,10 +702,15 @@ impl TogSim {
     /// Memory-system admission, routed to the sharded host during a
     /// parallel run. Identical admission rule either way.
     fn mem_enqueue(&mut self, req: MemRequest, at: Cycle) -> bool {
-        match &mut self.parallel {
+        let admitted = match &mut self.parallel {
             Some(sharded) => sharded.try_enqueue(req, at),
             None => self.dram.try_enqueue(req, at),
+        };
+        #[cfg(test)]
+        if !admitted {
+            self.mem_refusals += 1;
         }
+        admitted
     }
 
     /// Earliest future memory-system event, routed like [`Self::mem_enqueue`].
@@ -792,7 +805,7 @@ impl TogSim {
             cores,
             jobs,
             self.tx_refs.len(),
-            self.retry_dram.len(),
+            self.retry_dram.iter().map(VecDeque::len).sum::<usize>(),
             self.retry_noc.len()
         ))
     }
@@ -1134,23 +1147,29 @@ impl TogSim {
         progress
     }
 
+    /// Re-offers parked transactions, each FIFO front-first up to its first
+    /// refusal. Nothing frees a slot within a pass (every retry carries the
+    /// same `now` and no component advances), so whatever sits behind a
+    /// refused transaction would be refused too: stopping there admits
+    /// exactly what a scan of every parked transaction would, for work
+    /// proportional to what is admitted rather than to what is waiting.
     fn retry_backpressured(&mut self) -> bool {
         let mut progress = false;
-        let pending = std::mem::take(&mut self.retry_dram);
-        for (rid, req) in pending {
-            if self.mem_enqueue(req, self.now) {
+        for ch in 0..self.retry_dram.len() {
+            while let Some(&req) = self.retry_dram[ch].front() {
+                if !self.mem_enqueue(req, self.now) {
+                    break;
+                }
+                self.retry_dram[ch].pop_front();
                 progress = true;
-            } else {
-                self.retry_dram.push((rid, req));
             }
         }
-        let pending = std::mem::take(&mut self.retry_noc);
-        for (rid, msg) in pending {
-            if self.noc.try_send(msg, self.now) {
-                progress = true;
-            } else {
-                self.retry_noc.push((rid, msg));
+        while let Some(&msg) = self.retry_noc.front() {
+            if !self.noc.try_send(msg, self.now) {
+                break;
             }
+            self.retry_noc.pop_front();
+            progress = true;
         }
         progress
     }
@@ -1166,27 +1185,28 @@ impl TogSim {
         self.mem_drain_completions_into(&mut buf);
         for (rid, at) in buf.drain(..) {
             drained += 1;
-            let Some(txref) = self.tx_refs.remove(&rid) else {
+            let Some(tx) = self.tx_refs.get_mut(&rid) else {
                 continue;
             };
-            match txref.phase {
+            let TxRef { dma_id, addr, phase } = *tx;
+            match phase {
                 TxPhase::ReadDram => {
                     // Data returns over the NoC to the core.
-                    let d = self.dma_slab[txref.dma_id];
+                    tx.phase = TxPhase::ReadNoc;
                     let msg = NocMessage {
                         id: rid,
-                        src: self.channel_port(txref.addr),
-                        dst: d.core,
+                        src: self.channel_port(addr),
+                        dst: self.dma_slab[dma_id].core,
                         bytes: self.cfg.dram.transaction_bytes,
                     };
-                    if self.noc.try_send(msg, at) {
-                        self.tx_refs.insert(rid, TxRef { phase: TxPhase::ReadNoc, ..txref });
-                    } else {
-                        self.tx_refs.insert(rid, TxRef { phase: TxPhase::ReadNoc, ..txref });
-                        self.retry_noc.push((rid, msg));
+                    if !self.noc.try_send(msg, at) {
+                        self.retry_noc.push_back(msg);
                     }
                 }
-                TxPhase::WriteDram => self.finish_tx(txref.dma_id),
+                TxPhase::WriteDram => {
+                    self.tx_refs.remove(&rid);
+                    self.finish_tx(dma_id);
+                }
                 _ => {}
             }
         }
@@ -1196,18 +1216,21 @@ impl TogSim {
         self.noc.drain_completions_into(&mut buf);
         for (rid, at) in buf.drain(..) {
             drained += 1;
-            let Some(txref) = self.tx_refs.remove(&rid) else {
+            let Some(tx) = self.tx_refs.get_mut(&rid) else {
                 continue;
             };
-            match txref.phase {
-                TxPhase::ReadNoc => self.finish_tx(txref.dma_id),
+            let TxRef { dma_id, addr, phase } = *tx;
+            match phase {
+                TxPhase::ReadNoc => {
+                    self.tx_refs.remove(&rid);
+                    self.finish_tx(dma_id);
+                }
                 TxPhase::WriteNoc => {
-                    let d = self.dma_slab[txref.dma_id];
-                    let req =
-                        MemRequest::write(rid, txref.addr, self.cfg.dram.transaction_bytes, d.tag);
-                    self.tx_refs.insert(rid, TxRef { phase: TxPhase::WriteDram, ..txref });
+                    tx.phase = TxPhase::WriteDram;
+                    let tag = self.dma_slab[dma_id].tag;
+                    let req = MemRequest::write(rid, addr, self.cfg.dram.transaction_bytes, tag);
                     if !self.mem_enqueue(req, at) {
-                        self.retry_dram.push((rid, req));
+                        self.retry_dram[self.dram.channel_of(addr)].push_back(req);
                     }
                 }
                 _ => {}
@@ -1648,6 +1671,98 @@ mod backend_tests {
         for bad in ["", "threads", "parallel:0", "parallel:-1", "parallel:x", "Serial"] {
             assert!(bad.parse::<ExecutionBackend>().is_err(), "{bad:?} must not parse");
         }
+    }
+}
+
+#[cfg(test)]
+mod retry_tests {
+    use super::*;
+    use ptsim_tog::{AddrExpr, TogBuilder, TogOpKind};
+
+    /// A 256 KiB store (4096 writes against 2 channels x 32 queue slots, so
+    /// thousands park in the retry FIFOs) racing a dependent load stream.
+    fn store_flood_tog() -> ExecutableTog {
+        let mut b = TogBuilder::new("flood");
+        b.node(TogOpKind::store(AddrExpr::new(0x100_0000), 256 * 1024), &[]);
+        let i = b.begin_loop(16);
+        let ld = b.node(TogOpKind::load(AddrExpr::new(0x1000).with_term(i, 8192), 8192), &[]);
+        let w = b.node(TogOpKind::WaitDma { dma: ld }, &[]);
+        b.node(TogOpKind::compute("k", 40, ExecUnit::Matrix), &[w]);
+        b.end_loop();
+        b.finish().expand().unwrap()
+    }
+
+    #[test]
+    fn store_flood_report_is_pinned_and_backend_independent() {
+        let run = |backend| {
+            let mut sim = TogSim::new(&SimConfig::tiny());
+            sim.add_job(store_flood_tog(), JobSpec::default());
+            sim.run_with(backend).unwrap()
+        };
+        let serial = run(ExecutionBackend::Serial);
+        // Captured from the commit before the per-channel retry FIFOs.
+        assert_eq!(serial.total_cycles, 4786);
+        let d = &serial.dram;
+        assert_eq!((d.reads, d.writes, d.total_latency), (2048, 4096, 357_838));
+        assert_eq!((d.row_hits, d.row_misses, d.row_conflicts), (5876, 32, 236));
+        assert_eq!((serial.noc.messages, serial.noc.total_latency), (6144, 559_104));
+        assert_eq!(serial, run(ExecutionBackend::Reference));
+        assert_eq!(serial, run(ExecutionBackend::Parallel { workers: 2 }));
+    }
+
+    /// Fills every DRAM channel, then parks `per_channel` writes behind each.
+    fn sim_with_parked_writes(per_channel: u64) -> TogSim {
+        let cfg = SimConfig::tiny();
+        let mut sim = TogSim::new(&cfg);
+        let (channels, tx) = (cfg.dram.channels as u64, cfg.dram.transaction_bytes);
+        let mut ids = RequestIdGen::new();
+        for ch in 0..channels {
+            let addr = |i: u64| (i * channels + ch) * tx;
+            let mut i = 0;
+            while sim.mem_enqueue(MemRequest::write(ids.next_id(), addr(i), tx, 0), Cycle::ZERO) {
+                i += 1;
+            }
+            for k in 0..per_channel {
+                let req = MemRequest::write(ids.next_id(), addr(i + k), tx, 0);
+                sim.retry_dram[ch as usize].push_back(req);
+            }
+        }
+        sim.mem_refusals = 0;
+        sim
+    }
+
+    fn parked(sim: &TogSim) -> usize {
+        sim.retry_dram.iter().map(VecDeque::len).sum()
+    }
+
+    #[test]
+    fn retry_pass_is_refused_at_most_once_per_channel() {
+        let mut sim = sim_with_parked_writes(2000);
+        let channels = sim.cfg.dram.channels as u64;
+        // Every channel full: one refusal each, nothing admitted.
+        assert!(!sim.retry_backpressured());
+        assert_eq!(sim.mem_refusals, channels);
+        assert_eq!(parked(&sim), 2 * 2000);
+        // Slots free up: each FIFO refills its channel front-first and is
+        // again refused exactly once.
+        sim.now = Cycle::new(40);
+        sim.dram.advance(sim.now);
+        let free = sim.dram.free_slots();
+        assert!(free > 0 && free < 2000);
+        sim.mem_refusals = 0;
+        assert!(sim.retry_backpressured());
+        assert_eq!(sim.mem_refusals, channels);
+        assert_eq!(parked(&sim), 2 * 2000 - free);
+        assert_eq!(sim.dram.free_slots(), 0);
+    }
+
+    #[test]
+    fn deadlock_diagnostic_counts_parked_retries_across_channels() {
+        let sim = sim_with_parked_writes(7);
+        let Error::SimulationFault(msg) = sim.deadlock_fault() else {
+            panic!("deadlock must be a simulation fault");
+        };
+        assert!(msg.contains("14 dram retries, 0 noc retries"), "{msg}");
     }
 }
 

@@ -546,3 +546,25 @@ fn result_cache_turns_repeats_into_hits() {
     handle.shutdown();
     handle.join();
 }
+
+/// Regression for the worker-bookkeeping race: `serve.inflight` used to be
+/// decremented only after the worker had released the response, so a scrape
+/// issued right after it could still read 1. Every request here runs on a
+/// worker (result cache off), on the one connection that then scrapes.
+#[test]
+fn inflight_gauge_is_zero_as_soon_as_the_response_is_out() {
+    let handle = start(ServeConfig { result_cache_mb: 0, ..ServeConfig::default() }).unwrap();
+    let mut client = HttpClient::new(handle.addr());
+    let body = tiny_spec(16).canonical_json();
+    for round in 0..250 {
+        assert_eq!(client.post("/v1/simulate", &body).unwrap().status, 200);
+        let scrape = client.get("/metrics.json").unwrap();
+        assert_eq!(scrape.status, 200);
+        let inflight = parse_json(&scrape.body).unwrap().req_u64("serve.inflight").unwrap();
+        assert_eq!(inflight, 0, "round {round}: worker still counted after its response");
+    }
+    assert_eq!(metric(&handle, "serve.simulate.requests"), 250);
+
+    handle.shutdown();
+    handle.join();
+}
