@@ -2,7 +2,7 @@
 //! (GEMM, BERT-mini, ResNet-18 across NPU configurations).
 //!
 //! Usage: `report_sweep [--bench] [--jobs N] [--json] [--bench-harness]
-//! [--backend serial|parallel[:N]|reference] [--dram-sweep N]`
+//! [--dram-sweep N]`
 //!
 //! `--dram-sweep N` instead sweeps one model over N DRAM-only config
 //! variants through a shared compile cache and asserts the staged
@@ -12,23 +12,16 @@
 //! violation — CI runs it as the compile-cache smoke test.
 //!
 //! `--jobs N` runs the sweep over N worker threads (results are
-//! bit-identical at any count). `--backend B` selects the execution
-//! backend every point runs under (reports are bit-identical at any
-//! choice). `--bench-harness` instead benchmarks the harness itself: it
-//! executes the same grid serially and in parallel on a cold cache each
-//! time, verifies the reports match, and prints the wall-clock speedup —
-//! the sanity check that parallel sweeps actually pay. With `--backend`,
-//! `--bench-harness` benchmarks a *single run* instead: the heaviest grid
-//! model under the serial backend vs the requested one, asserting
-//! bit-identity and printing both wall clocks.
+//! bit-identical at any count). `--bench-harness` instead benchmarks the
+//! harness itself: it executes the same grid serially and in parallel on a
+//! cold cache each time, verifies the reports match, and prints the
+//! wall-clock speedup — the sanity check that parallel sweeps actually pay.
 
 use ptsim_bench::{cli_scale_and_jobs, print_table, Scale};
 use ptsim_common::config::{NocConfig, SimConfig};
 use ptsim_common::json::ToJson;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
-use pytorchsim::{ExecutionBackend, RunOptions, Simulator};
-use std::time::Instant;
 
 fn grid(scale: Scale) -> Sweep {
     let specs: Vec<ModelSpec> = match scale {
@@ -76,34 +69,6 @@ fn bench_harness(scale: Scale, jobs: usize) {
         serial.wall_seconds / parallel.wall_seconds.max(1e-9),
         serial.cache.compiles,
     );
-}
-
-/// Benchmarks one simulation of the heaviest grid model under the serial
-/// backend vs `backend`, asserting bit-identity. Compilation is warmed
-/// first so both timings measure simulation alone.
-fn bench_backend(scale: Scale, backend: ExecutionBackend) {
-    let spec = match scale {
-        Scale::Bench => models::bert(
-            models::BertConfig { layers: 2, ..models::BertConfig::base(128, 1) },
-            "bert_mini",
-        ),
-        Scale::Full => models::bert_base(512, 1),
-    };
-    let sim = Simulator::new(SimConfig::tpu_v3_single_core());
-    sim.run(&spec, RunOptions::tls()).expect("warmup run");
-
-    let t = Instant::now();
-    let serial = sim.run(&spec, RunOptions::tls()).expect("serial run");
-    let serial_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let other = sim.run(&spec, RunOptions::tls().with_backend(backend)).expect("backend run");
-    let backend_s = t.elapsed().as_secs_f64();
-
-    assert_eq!(serial, other, "{backend} must be bit-identical to serial");
-    println!("single-run backend benchmark ({}, compile warmed)", spec.name);
-    println!("  serial:      {serial_s:8.3}s  ({} cycles)", serial.total_cycles);
-    println!("  {backend}:  {backend_s:8.3}s  (bit-identical report)");
-    println!("  speedup: {:.2}x", serial_s / backend_s.max(1e-9));
 }
 
 /// Sweeps one model over `n` DRAM-only config variants and asserts that
@@ -204,24 +169,6 @@ fn dram_sweep(scale: Scale, n: usize, jobs: usize, json: bool) {
     println!("zero redundant kernel measurements across {n} DRAM variants");
 }
 
-/// The `--backend` flag, if present.
-fn cli_backend() -> Option<ExecutionBackend> {
-    let mut it = std::env::args();
-    while let Some(arg) = it.next() {
-        if arg == "--backend" {
-            let v = it.next().unwrap_or_else(|| {
-                eprintln!("--backend needs a value (serial, parallel[:N], or reference)");
-                std::process::exit(2);
-            });
-            return Some(v.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
 /// The `--dram-sweep N` flag, if present.
 fn cli_dram_sweep() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
@@ -235,24 +182,16 @@ fn cli_dram_sweep() -> Option<usize> {
 
 fn main() {
     let (scale, jobs) = cli_scale_and_jobs();
-    let backend = cli_backend();
     if let Some(n) = cli_dram_sweep() {
         dram_sweep(scale, n, jobs, std::env::args().any(|a| a == "--json"));
         return;
     }
     if std::env::args().any(|a| a == "--bench-harness") {
-        match backend {
-            Some(b) => bench_backend(scale, b),
-            None => bench_harness(scale, jobs),
-        }
+        bench_harness(scale, jobs);
         return;
     }
 
-    let mut sweep = grid(scale);
-    if let Some(b) = backend {
-        sweep = sweep.with_backend(b);
-    }
-    let report = sweep.run(&SweepOptions::with_jobs(jobs)).expect("sweep succeeds");
+    let report = grid(scale).run(&SweepOptions::with_jobs(jobs)).expect("sweep succeeds");
     if std::env::args().any(|a| a == "--json") {
         println!("{}", serde_json::to_string_pretty(&report).expect("report serializes"));
         return;

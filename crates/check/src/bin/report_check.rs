@@ -20,13 +20,11 @@ struct Args {
     start: u64,
     replay: Option<u64>,
     json: bool,
-    workers: Option<u64>,
     oracle: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { seeds: 25, start: 0, replay: None, json: false, workers: None, oracle: None };
+    let mut args = Args { seeds: 25, start: 0, replay: None, json: false, oracle: None };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -40,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
             "--start" => args.start = num("--start")?,
             "--replay" => args.replay = Some(num("--replay")?),
             "--json" => args.json = true,
-            "--workers" => args.workers = Some(num("--workers")?),
             "--oracle" => {
                 let name = value("--oracle")?;
                 if !ORACLES.iter().any(|o| o.name == name) {
@@ -52,14 +49,12 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: report_check [--seeds N] [--start S] [--replay SEED] [--json] \
-                     [--workers W] [--oracle NAME]\n\
+                     [--oracle NAME]\n\
                      \n\
                      --seeds N     check seeds S..S+N (default 25)\n\
                      --start S     first seed of the range (default 0)\n\
                      --replay SEED re-check exactly one seed\n\
                      --json        machine-readable report\n\
-                     --workers W   pin the parallel-backend worker count\n\
-                                   (default: each seed draws its own)\n\
                      --oracle NAME run a single oracle instead of the full set"
                 );
                 std::process::exit(0);
@@ -86,8 +81,7 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let mut outcomes = Vec::with_capacity(seeds.len());
     for &seed in &seeds {
-        let outcome =
-            run_seed_filtered(seed, args.workers.map(|w| w as usize), args.oracle.as_deref());
+        let outcome = run_seed_filtered(seed, args.oracle.as_deref());
         if !args.json {
             if outcome.failures.is_empty() {
                 if args.replay.is_some() {

@@ -299,9 +299,6 @@ pub struct CheckCase {
     pub scaling: Vec<(usize, u64, u64)>,
     /// Index probed on the scaling report (may be out of range).
     pub eff_index: usize,
-    /// Worker count for the parallel execution backend (may exceed the
-    /// config's DRAM channel count, exercising shard collapse).
-    pub workers: usize,
 }
 
 impl CheckCase {
@@ -326,8 +323,6 @@ impl CheckCase {
             .collect();
         let eff_index = rng.gen_range(0..6);
 
-        let workers = pick(&mut stream(seed, 5), &[1, 2, 3, 4, 8, 16]);
-
         CheckCase {
             seed,
             workload,
@@ -339,7 +334,6 @@ impl CheckCase {
             conv_index,
             scaling,
             eff_index,
-            workers,
         }
     }
 
@@ -352,7 +346,7 @@ impl CheckCase {
         };
         format!(
             "{} on {}c {}x{}sa*{} v{}x{} spad{}K l1:{} dram{}ch/q{} noc:{:?}/f{}/p{}{} \
-             tenants={} {} max_batch={} workers={}",
+             tenants={} {} max_batch={}",
             self.workload,
             n.cores,
             n.systolic_rows,
@@ -371,7 +365,6 @@ impl CheckCase {
             self.tenants.len(),
             if self.spatial { "spatial" } else { "temporal" },
             self.max_batch,
-            self.workers,
         )
     }
 }

@@ -68,24 +68,14 @@ pub struct SeedOutcome {
 /// Generates the case for `seed` and runs the full oracle set against it,
 /// shrinking every failure.
 pub fn run_seed(seed: u64) -> SeedOutcome {
-    run_seed_with_workers(seed, None)
+    run_seed_filtered(seed, None)
 }
 
-/// [`run_seed`] with the parallel-backend worker count pinned to `workers`
-/// instead of the seed's own draw — how CI smoke-tests the whole oracle set
-/// at one fixed shard count.
-pub fn run_seed_with_workers(seed: u64, workers: Option<usize>) -> SeedOutcome {
-    run_seed_filtered(seed, workers, None)
-}
-
-/// [`run_seed_with_workers`] restricted to the single oracle named
-/// `oracle` (all of them when `None`) — how CI smoke-tests one property
-/// over many seeds without paying for the whole set.
-pub fn run_seed_filtered(seed: u64, workers: Option<usize>, oracle: Option<&str>) -> SeedOutcome {
-    let mut case = CheckCase::from_seed(seed);
-    if let Some(w) = workers {
-        case.workers = w;
-    }
+/// [`run_seed`] restricted to the single oracle named `oracle` (all of
+/// them when `None`) — how CI smoke-tests one property over many seeds
+/// without paying for the whole set.
+pub fn run_seed_filtered(seed: u64, oracle: Option<&str>) -> SeedOutcome {
+    let case = CheckCase::from_seed(seed);
     let mut failures = Vec::new();
     for o in ORACLES {
         if oracle.is_some_and(|name| name != o.name) {

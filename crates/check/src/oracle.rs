@@ -4,11 +4,10 @@
 //! Three oracle styles:
 //!
 //! - **Differential**: two implementations that must agree — the event
-//!   engine vs the legacy reference loop (bit-identity), the sharded
-//!   parallel backend vs the serial engine at a randomized worker count
-//!   (bit-identity), ILS-timing vs full ILS (same simulated cycles), the
-//!   functional NPU path vs the eager interpreter (numerics), serial vs
-//!   parallel sweeps (bit-identity).
+//!   engine vs the legacy reference loop (bit-identity), ILS-timing vs
+//!   full ILS (same simulated cycles), the functional NPU path vs the
+//!   eager interpreter (numerics), serial vs parallel sweeps
+//!   (bit-identity).
 //! - **Metamorphic**: a relation between two runs when the input changes in
 //!   a known direction — more DRAM channels or NoC bandwidth never makes a
 //!   workload meaningfully slower (a small documented slack absorbs
@@ -57,7 +56,6 @@ pub const ORACLES: &[Oracle] = &[
     Oracle { name: "trace_validation", run: trace_validation },
     Oracle { name: "kernel_equivalence", run: kernel_equivalence },
     Oracle { name: "staged_vs_monolithic", run: staged_vs_monolithic },
-    Oracle { name: "parallel_vs_serial", run: parallel_vs_serial },
     Oracle { name: "sweep_determinism", run: sweep_determinism },
     Oracle { name: "max_cycles_clamp", run: max_cycles_clamp },
     Oracle { name: "cancel_consistency", run: cancel_consistency },
@@ -397,34 +395,6 @@ fn staged_vs_monolithic(case: &CheckCase) -> Result<(), String> {
         return Err(format!(
             "compile stats diverge: staged {:?} vs monolithic {:?}",
             staged.stats, mono.stats
-        ));
-    }
-    Ok(())
-}
-
-/// The lookahead-parallel backend must match the serial event engine
-/// bit-for-bit at the case's randomized worker count — which may exceed the
-/// config's DRAM channel count (shards collapse), equal one (degenerate
-/// single-shard), or land anywhere between, on any generated machine
-/// including chiplet overlays.
-fn parallel_vs_serial(case: &CheckCase) -> Result<(), String> {
-    let sim = Simulator::new(case.cfg.clone());
-    let spec = case.workload.spec();
-    let model = sim.compile(&spec).map_err(|e| format!("compile: {e}"))?;
-
-    let run = |backend: ExecutionBackend| -> Result<SimReport, String> {
-        let mut togsim = TogSim::new(&case.cfg);
-        togsim.add_shared_job(Arc::new(model.tog.clone()), JobSpec::default());
-        no_panic("TogSim::run_with", || togsim.run_with(backend))?
-            .map_err(|e| format!("{backend} run: {e}"))
-    };
-    let serial = run(ExecutionBackend::Serial)?;
-    let parallel = run(ExecutionBackend::Parallel { workers: case.workers })?;
-    if parallel != serial {
-        return Err(format!(
-            "parallel backend ({} workers over {} DRAM channels) diverges from serial: \
-             {} vs {} cycles",
-            case.workers, case.cfg.dram.channels, parallel.total_cycles, serial.total_cycles
         ));
     }
     Ok(())

@@ -107,10 +107,6 @@ fn proposals(case: &CheckCase) -> Vec<CheckCase> {
         push(CheckCase { max_batch: 1, ..case.clone() });
     }
 
-    if case.workers > 1 {
-        push(CheckCase { workers: 1, ..case.clone() });
-    }
-
     // Adversarial-input trims.
     if case.scaling.len() > 2 {
         push(CheckCase { scaling: case.scaling[..2].to_vec(), ..case.clone() });

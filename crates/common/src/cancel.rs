@@ -6,8 +6,8 @@
 //! staged compiler, sweep workers). Cancellation is *cooperative*: the
 //! running code polls the token at bounded intervals and unwinds by
 //! returning [`Error::Cancelled`] through the ordinary error path, so a
-//! cancelled run releases locks, compile-cache gates, and worker shards
-//! exactly like any other failed run.
+//! cancelled run releases locks and compile-cache gates exactly like any
+//! other failed run.
 //!
 //! Three triggers can fire a token, and they compose:
 //!

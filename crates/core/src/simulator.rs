@@ -15,8 +15,8 @@
 //!
 //! The `#[deprecated]` 0.2.0 shims for these are gone; the table stays for
 //! readers migrating old call sites. [`RunOptions`] also selects the host
-//! [`ExecutionBackend`] (serial, lookahead-parallel, or the legacy
-//! reference loop) — every backend is bit-identical in simulated results.
+//! [`ExecutionBackend`] (the serial event kernel or the legacy reference
+//! loop) — both are bit-identical in simulated results.
 //! `run` takes `&self`: the compile cache is interior-locked and
 //! shareable, so one `Simulator` (or one [`crate::CompileCache`] across
 //! many) can serve concurrent sweep workers — see [`crate::sweep`].
@@ -55,10 +55,8 @@ pub struct RunOptions {
     /// Hardware performance counters: when set, the engine and the DRAM
     /// and NoC models record cycle-resolved counter series (compute-unit
     /// busy cycles per core and kernel, per-channel DRAM bandwidth and
-    /// row outcomes, NoC link occupancy, queue depths) into the hub.
-    /// Unlike [`RunOptions::tracer`], counters never force the parallel
-    /// backend onto the serial path, and the recorded series are
-    /// bit-identical across every [`ExecutionBackend`].
+    /// row outcomes, NoC link occupancy, queue depths) into the hub. The
+    /// recorded series are bit-identical across every [`ExecutionBackend`].
     pub counters: Option<Arc<ptsim_obs::CounterHub>>,
     /// Cooperative cancellation: when set, the compile stages and the
     /// engine step loop poll the token at bounded intervals and unwind
@@ -462,14 +460,8 @@ mod tests {
         let sim = Simulator::new(SimConfig::tiny());
         let spec = gemm(32);
         let serial = sim.run(&spec, RunOptions::tls()).unwrap();
-        for backend in [
-            ExecutionBackend::Reference,
-            ExecutionBackend::Parallel { workers: 1 },
-            ExecutionBackend::Parallel { workers: 4 },
-        ] {
-            let got = sim.run(&spec, RunOptions::tls().with_backend(backend)).unwrap();
-            assert_eq!(serial, got, "{backend} diverged from serial");
-        }
+        let reference = RunOptions::tls().with_backend(ExecutionBackend::Reference);
+        assert_eq!(serial, sim.run(&spec, reference).unwrap());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use ptsim_common::{CancelToken, Result};
 use ptsim_compiler::CompilerOptions;
 use ptsim_models::ModelSpec;
 use ptsim_tog::ExecutableTog;
-use ptsim_togsim::{ExecutionBackend, JobSpec, SimReport};
+use ptsim_togsim::{JobSpec, SimReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -351,18 +351,6 @@ impl Sweep {
         sweep
     }
 
-    /// Applies `backend` to every point declared so far — how a whole
-    /// exploration grid opts into the parallel (or reference) execution
-    /// backend in one place. Points pushed afterwards keep their own run
-    /// options. Reports stay bit-identical across backends.
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
-        for point in &mut self.points {
-            point.run.backend = backend;
-        }
-        self
-    }
-
     /// Adds a point, returning its index.
     pub fn push(&mut self, point: SweepPoint) -> usize {
         self.points.push(point);
@@ -495,14 +483,14 @@ mod tests {
         use ptsim_togsim::ExecutionBackend;
         let configs = vec![("tiny".to_string(), SimConfig::tiny())];
         let serial = Sweep::grid([gemm(16), gemm(32)], &configs);
-        let mut parallel = Sweep::new();
+        let mut reference = Sweep::new();
         for point in serial.points() {
-            parallel.push(point.clone().with_run(
-                RunOptions::tls().with_backend(ExecutionBackend::Parallel { workers: 2 }),
-            ));
+            reference.push(
+                point.clone().with_run(RunOptions::tls().with_backend(ExecutionBackend::Reference)),
+            );
         }
         let a = serial.run(&SweepOptions::with_jobs(1)).unwrap();
-        let b = parallel.run(&SweepOptions::with_jobs(1)).unwrap();
+        let b = reference.run(&SweepOptions::with_jobs(1)).unwrap();
         assert_eq!(a.sim_reports(), b.sim_reports());
     }
 

@@ -31,11 +31,9 @@
 pub mod channel;
 #[cfg(test)]
 mod reference;
-pub mod shard;
 pub mod stats;
 
 pub use channel::{MemRequest, RowOutcome};
-pub use shard::ShardedDram;
 pub use stats::DramStats;
 
 use channel::Channel;
@@ -74,9 +72,6 @@ impl DramSim {
 
     /// Attaches a counter hub: every channel records retiring transactions
     /// into its per-channel bandwidth and row-outcome counter series.
-    /// Channels carry the handle with them when sharded, so the parallel
-    /// backend records the same (commutative) bucket sums as the serial
-    /// one.
     pub fn set_counters(&mut self, counters: std::sync::Arc<ptsim_obs::CounterHub>) {
         for (i, ch) in self.channels.iter_mut().enumerate() {
             ch.set_counters(counters.clone(), i);

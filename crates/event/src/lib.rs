@@ -26,11 +26,9 @@
 //! - [`DrainFifo`]: a time-ordered in-flight queue (bounded admission,
 //!   partial consumption) shared by the core timing model's serializer
 //!   FIFOs and systolic-array output tracking.
-//! - [`ShardPool`]: conservative (lookahead-barrier) intra-run parallelism.
-//!   Disjoint state partitions ([`EpochShard`]s) advance to each step's
-//!   horizon on dedicated worker threads, then return to the coordinator
-//!   for the serial exchange phase — results stay bit-identical to the
-//!   serial kernel by construction.
+//!
+//! The kernel is single-threaded by design: host parallelism pays across
+//! independent runs (sweep points), not inside one.
 //!
 //! # Examples
 //!
@@ -67,12 +65,10 @@ pub mod component;
 pub mod fifo;
 pub mod queue;
 pub mod sched;
-pub mod shard;
 pub mod wake;
 
 pub use component::{CompletionSource, Component};
 pub use fifo::DrainFifo;
 pub use queue::EventQueue;
 pub use sched::{Scheduler, Step};
-pub use shard::{partition_even, EpochShard, ShardPool};
 pub use wake::WakeSet;

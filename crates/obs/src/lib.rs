@@ -17,11 +17,8 @@
 //!
 //! Determinism: bucket sums and maxima are commutative, and every bucket
 //! index is a function of the simulated cycle an event retires at. Since
-//! the execution backends (`Serial` / `Parallel` / `Reference`) produce
-//! bit-identical event sets, the counter series they record are
-//! bit-identical too — the parallel backend does *not* fall back to
-//! serial when counters are attached (unlike tracing, which needs total
-//! event order).
+//! the execution backends (`Serial` / `Reference`) produce bit-identical
+//! event sets, the counter series they record are bit-identical too.
 //!
 //! The [`profile`] module turns a recorded hub into a roofline-style
 //! bottleneck attribution (compute vs DRAM-stall vs NoC-stall per
@@ -284,8 +281,7 @@ struct HubInner {
 }
 
 /// The shared counter hub. Components record through `&self`; interior
-/// state is one mutex over a key-sorted map, which keeps recording
-/// deterministic under the parallel backend (bucket combination is
+/// state is one mutex over a key-sorted map (bucket combination is
 /// commutative, and the key space is partitioned per component instance).
 #[derive(Debug)]
 pub struct CounterHub {

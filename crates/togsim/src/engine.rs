@@ -13,7 +13,7 @@ use crate::report::{JobReport, SimReport};
 use ptsim_common::config::SimConfig;
 use ptsim_common::id::RequestIdGen;
 use ptsim_common::{CancelToken, Cycle, Error, RequestId, Result};
-use ptsim_dram::{DramSim, MemRequest, ShardedDram};
+use ptsim_dram::{DramSim, MemRequest};
 use ptsim_event::{CompletionSource, EventQueue, Scheduler, Step, WakeSet};
 use ptsim_funcsim::FuncSim;
 use ptsim_isa::program::Program;
@@ -84,20 +84,19 @@ pub enum Fidelity {
 )]
 pub enum ExecutionBackend {
     /// Single-threaded event kernel (the default). Deterministic and the
-    /// baseline every other backend must match bit-for-bit.
+    /// baseline [`ExecutionBackend::Reference`] must match bit-for-bit.
     #[default]
     Serial,
-    /// Conservative lookahead-barrier parallelism: DRAM channel shards
-    /// advance to each epoch's horizon on worker threads while the NoC
-    /// advances on the coordinator; all cross-component coupling stays on
-    /// the coordinator between epochs, so reports are bit-identical to
-    /// [`ExecutionBackend::Serial`].
-    ///
-    /// With a tracer attached the engine falls back to the serial path:
-    /// worker-side trace recording would interleave nondeterministically.
+    /// Compatibility alias of [`ExecutionBackend::Serial`]: runs the serial
+    /// loop, and `workers` is ignored. The lookahead-parallel engine it used
+    /// to select was retired (its reports were always bit-identical to
+    /// `Serial`, so only wall time changes — it gets faster). The variant
+    /// stays only because existing v2 wire requests and the benchmark's
+    /// `togsim.parallel2_ratio` probe name it; it goes away together with
+    /// that probe in a benchmark-only PR (ROADMAP item 10).
     Parallel {
-        /// Worker threads for component shards (clamped to the shardable
-        /// component count; must be ≥ 1).
+        /// Ignored; kept so `"parallel:N"` wire strings still round-trip
+        /// (must be ≥ 1).
         workers: usize,
     },
     /// Legacy full-rescan loop: every core re-examined every iteration,
@@ -333,9 +332,6 @@ pub struct TogSim {
     cfg: SimConfig,
     fidelity: Fidelity,
     dram: DramSim,
-    /// Sharded re-hosting of `dram` while a parallel run is in flight;
-    /// `None` (and `dram` fully populated) otherwise.
-    parallel: Option<ShardedDram>,
     noc: NocSim,
     cores: Vec<Core>,
     caches: Vec<Option<L1Cache>>,
@@ -376,12 +372,9 @@ pub struct TogSim {
     /// so their events land in the same trace.
     tracer: Option<Arc<Tracer>>,
     /// Hardware performance counters when enabled; shared with the DRAM
-    /// and NoC models. Unlike the tracer, counters do not force the
-    /// parallel backend onto the serial path: bucket aggregation is
-    /// commutative, so worker-side recording stays deterministic.
+    /// and NoC models.
     counters: Option<Arc<CounterHub>>,
-    /// Cooperative cancellation, polled by the scheduler step loop (and,
-    /// under the parallel backend, by the shard workers).
+    /// Cooperative cancellation, polled by the scheduler step loop.
     cancel: Option<CancelToken>,
 }
 
@@ -405,7 +398,6 @@ impl TogSim {
             cfg: cfg.clone(),
             fidelity: Fidelity::Tls,
             dram: DramSim::new(&cfg.dram, cfg.npu.freq_mhz),
-            parallel: None,
             noc,
             cores: (0..cfg.npu.cores).map(|_| Core::new()).collect(),
             caches: (0..cfg.npu.cores).map(|_| cfg.npu.l1_cache.map(L1Cache::new)).collect(),
@@ -575,18 +567,11 @@ impl TogSim {
     /// Runs every submitted job to completion on the selected
     /// [`ExecutionBackend`].
     ///
-    /// Every backend produces bit-identical reports; they differ only in
-    /// host execution strategy:
+    /// Both loops produce bit-identical reports:
     ///
-    /// - [`Serial`](ExecutionBackend::Serial): the event kernel on the
+    /// - [`Serial`](ExecutionBackend::Serial) (and its compatibility alias
+    ///   [`Parallel`](ExecutionBackend::Parallel)): the event kernel on the
     ///   calling thread — same as [`TogSim::run`].
-    /// - [`Parallel`](ExecutionBackend::Parallel): the DRAM channels are
-    ///   re-hosted on a [`ShardedDram`] whose worker threads advance busy
-    ///   channel groups to each epoch's horizon while the NoC advances on
-    ///   this thread; admission, completion collection, and scheduling stay
-    ///   on this thread between epochs. Falls back to the serial path when
-    ///   a tracer is attached (worker-side trace recording would interleave
-    ///   nondeterministically).
     /// - [`Reference`](ExecutionBackend::Reference): the legacy full-rescan
     ///   loop, the oracle of the kernel-equivalence suite.
     ///
@@ -595,29 +580,8 @@ impl TogSim {
     /// Returns [`Error::SimulationFault`] on deadlock (a malformed TOG) or
     /// when the cycle safety limit is exceeded.
     pub fn run_with(&mut self, backend: ExecutionBackend) -> Result<SimReport> {
-        match backend {
-            ExecutionBackend::Serial => self.run_loop(false)?,
-            ExecutionBackend::Reference => self.run_loop(true)?,
-            ExecutionBackend::Parallel { workers } => {
-                if self.tracer.is_some() {
-                    self.run_loop(false)?;
-                } else {
-                    let sharded = ShardedDram::new(&mut self.dram, workers);
-                    if let Some(token) = &self.cancel {
-                        sharded.set_cancel(token);
-                    }
-                    self.parallel = Some(sharded);
-                    let result = self.run_loop(false);
-                    // Put the channels (and their stats) back before
-                    // reporting or propagating an error.
-                    self.parallel
-                        .take()
-                        .expect("parallel backend installed")
-                        .restore(&mut self.dram);
-                    result?;
-                }
-            }
-        }
+        let reference = backend == ExecutionBackend::Reference;
+        self.run_loop(reference)?;
         Ok(self.build_report())
     }
 
@@ -654,7 +618,7 @@ impl TogSim {
                 return Ok(());
             }
             sched.observe(self.queue.next_time());
-            sched.observe_component(self.mem_next_event());
+            sched.observe_component(self.dram.next_event());
             sched.observe_component(self.noc.next_event());
             match sched.step() {
                 Step::Advance(t) => {
@@ -678,55 +642,23 @@ impl TogSim {
         }
     }
 
-    /// Advances the memory system and the NoC to `t`: one epoch. With the
-    /// parallel backend installed, busy DRAM channel groups run on their
-    /// worker threads while the NoC advances on this thread (safe overlap:
-    /// the two components never interact within a scheduler step — their
-    /// coupling is mediated by `collect_completions`, which runs next);
-    /// serially otherwise.
+    /// Advances the memory system and the NoC to `t`. The two never interact
+    /// within a scheduler step: their coupling is mediated by
+    /// `collect_completions`, which runs next.
     fn advance_components(&mut self, t: Cycle, metrics: Option<&EngineMetrics>) {
-        match &mut self.parallel {
-            Some(sharded) => {
-                let noc = &mut self.noc;
-                timed(metrics.map(|m| &m.dram_ns), || {
-                    sharded.advance_overlapped(t, || noc.advance(t));
-                });
-            }
-            None => {
-                timed(metrics.map(|m| &m.dram_ns), || self.dram.advance(t));
-                timed(metrics.map(|m| &m.noc_ns), || self.noc.advance(t));
-            }
-        }
+        timed(metrics.map(|m| &m.dram_ns), || self.dram.advance(t));
+        timed(metrics.map(|m| &m.noc_ns), || self.noc.advance(t));
     }
 
-    /// Memory-system admission, routed to the sharded host during a
-    /// parallel run. Identical admission rule either way.
+    /// DRAM admission; under test it also counts refusals for the
+    /// retry-path bound test.
     fn mem_enqueue(&mut self, req: MemRequest, at: Cycle) -> bool {
-        let admitted = match &mut self.parallel {
-            Some(sharded) => sharded.try_enqueue(req, at),
-            None => self.dram.try_enqueue(req, at),
-        };
+        let admitted = self.dram.try_enqueue(req, at);
         #[cfg(test)]
         if !admitted {
             self.mem_refusals += 1;
         }
         admitted
-    }
-
-    /// Earliest future memory-system event, routed like [`Self::mem_enqueue`].
-    fn mem_next_event(&self) -> Option<Cycle> {
-        match &self.parallel {
-            Some(sharded) => sharded.next_event(),
-            None => self.dram.next_event(),
-        }
-    }
-
-    /// Drains memory-system completions (serial retirement order) into `out`.
-    fn mem_drain_completions_into(&mut self, out: &mut Vec<(RequestId, Cycle)>) {
-        match &mut self.parallel {
-            Some(sharded) => sharded.drain_completions_into(out),
-            None => self.dram.drain_completions_into(out),
-        }
     }
 
     fn build_report(&self) -> SimReport {
@@ -1182,7 +1114,7 @@ impl TogSim {
         // DRAM completions, through the reusable drain buffer (the legacy
         // `pop_completed` allocated a fresh Vec per poll).
         let mut buf = std::mem::take(&mut self.dram_buf);
-        self.mem_drain_completions_into(&mut buf);
+        self.dram.drain_completions_into(&mut buf);
         for (rid, at) in buf.drain(..) {
             drained += 1;
             let Some(tx) = self.tx_refs.get_mut(&rid) else {
@@ -1551,107 +1483,32 @@ mod backend_tests {
         expand(b)
     }
 
-    /// Runs the same workload on `backend` and on Serial; demands equality.
-    fn assert_matches_serial(cfg: &SimConfig, tog: &ExecutableTog, backend: ExecutionBackend) {
-        let run = |backend| {
-            let mut sim = TogSim::new(cfg);
-            sim.add_job(tog.clone(), JobSpec::default());
-            sim.run_with(backend).unwrap()
-        };
-        let serial = run(ExecutionBackend::Serial);
-        let other = run(backend);
-        assert_eq!(serial, other, "{backend} diverged from serial");
-    }
-
+    /// The compatibility promise of the retired parallel backend: at any
+    /// worker count, `Parallel` is the serial loop — same report, same
+    /// Chrome trace, same counter series as [`TogSim::run`].
     #[test]
     fn parallel_matches_serial_across_worker_counts() {
         let mut cfg = SimConfig::tiny();
         cfg.dram.channels = 4;
         let tog = pipeline_tog(24, 150, 8192);
-        // 1 worker, workers == channels, workers > channels.
-        for workers in [1, 2, 4, 16] {
-            assert_matches_serial(&cfg, &tog, ExecutionBackend::Parallel { workers });
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_single_channel() {
-        // workers > components collapses to one shard.
-        let cfg = {
-            let mut c = SimConfig::tiny();
-            c.dram.channels = 1;
-            c
-        };
-        let tog = pipeline_tog(8, 50, 4096);
-        assert_matches_serial(&cfg, &tog, ExecutionBackend::Parallel { workers: 8 });
-    }
-
-    #[test]
-    fn parallel_matches_reference_too() {
-        let cfg = SimConfig::tiny();
-        let tog = pipeline_tog(12, 200, 4096);
-        let run = |backend| {
+        let run = |backend: Option<ExecutionBackend>| {
             let mut sim = TogSim::new(&cfg);
+            sim.enable_tracing();
+            let hub = Arc::new(CounterHub::default());
+            sim.set_counters(Arc::clone(&hub));
             sim.add_job(tog.clone(), JobSpec::default());
-            sim.run_with(backend).unwrap()
+            let report = match backend {
+                Some(b) => sim.run_with(b),
+                None => sim.run(),
+            };
+            (report.unwrap(), sim.chrome_trace(), hub.to_json().render())
         };
-        assert_eq!(
-            run(ExecutionBackend::Reference),
-            run(ExecutionBackend::Parallel { workers: 2 })
-        );
-    }
-
-    #[test]
-    fn parallel_handles_drain_boundary_events() {
-        // An L1-less store-heavy graph produces DRAM completions landing
-        // exactly on collected edges (the `Step::Drain` path): writes hop
-        // NoC -> DRAM, and the WriteNoc delivery re-enqueues into DRAM *at*
-        // the current time — the zero-latency-at-the-horizon boundary case.
-        let mut cfg = SimConfig::tiny();
-        cfg.dram.channels = 2;
-        cfg.dram.queue_depth = 4; // force backpressure retries too
-        let mut b = TogBuilder::new("st");
-        for i in 0..6u64 {
-            b.node(TogOpKind::store(AddrExpr::new(0x2000 + i * 0x40), 2048), &[]);
+        let serial = run(None);
+        assert!(serial.1.len() > 2 && serial.2.len() > 2, "nothing recorded");
+        for workers in [1, 4, 16] {
+            let got = run(Some(ExecutionBackend::Parallel { workers }));
+            assert_eq!(serial, got, "parallel:{workers} diverged from run()");
         }
-        let tog = expand(b);
-        for workers in [1, 2, 8] {
-            assert_matches_serial(&cfg, &tog, ExecutionBackend::Parallel { workers });
-        }
-    }
-
-    #[test]
-    fn parallel_with_tracer_falls_back_to_serial_path() {
-        let mut serial = TogSim::new(&SimConfig::tiny());
-        serial.enable_tracing();
-        let mut b = TogBuilder::new("t");
-        let ld = b.node(TogOpKind::load(AddrExpr::new(0x1000), 4096), &[]);
-        b.node(TogOpKind::WaitDma { dma: ld }, &[]);
-        let tog = expand(b);
-        serial.add_job(tog.clone(), JobSpec::default());
-        let want = serial.run().unwrap();
-        let trace = serial.chrome_trace();
-
-        let mut par = TogSim::new(&SimConfig::tiny());
-        par.enable_tracing();
-        par.add_job(tog, JobSpec::default());
-        let got = par.run_with(ExecutionBackend::Parallel { workers: 4 }).unwrap();
-        assert_eq!(want, got);
-        // Identical path, identical trace.
-        assert_eq!(trace, par.chrome_trace());
-    }
-
-    #[test]
-    fn parallel_runs_are_repeatable() {
-        let mut cfg = SimConfig::tiny();
-        cfg.dram.channels = 4;
-        let tog = pipeline_tog(16, 100, 8192);
-        let run = || {
-            let mut sim = TogSim::new(&cfg);
-            sim.add_job(tog.clone(), JobSpec::default());
-            sim.run_with(ExecutionBackend::Parallel { workers: 4 }).unwrap()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1707,7 +1564,6 @@ mod retry_tests {
         assert_eq!((d.row_hits, d.row_misses, d.row_conflicts), (5876, 32, 236));
         assert_eq!((serial.noc.messages, serial.noc.total_latency), (6144, 559_104));
         assert_eq!(serial, run(ExecutionBackend::Reference));
-        assert_eq!(serial, run(ExecutionBackend::Parallel { workers: 2 }));
     }
 
     /// Fills every DRAM channel, then parks `per_channel` writes behind each.

@@ -1,15 +1,12 @@
 //! Event-kernel equivalence acceptance suite.
 //!
 //! The TOGSim engine was rewired from a monolithic poll-everything loop
-//! onto the shared `ptsim-event` scheduler with per-core dirty lists, and
-//! later gained a lookahead-parallel DRAM backend. The acceptance bar for
-//! both rewires is *bit-identity*: every [`ExecutionBackend`] — the serial
-//! event engine, the legacy full-rescan reference loop, and the sharded
-//! parallel kernel at any worker count — must produce exactly the same
-//! [`SimReport`] for every workload family, at every fidelity, and
-//! irrespective of sweep parallelism.
+//! onto the shared `ptsim-event` scheduler with per-core dirty lists. The
+//! acceptance bar is *bit-identity*: the serial event engine and the legacy
+//! full-rescan reference loop (`ExecutionBackend::Reference`) must produce
+//! exactly the same [`SimReport`] for every workload family, at every
+//! fidelity, and irrespective of sweep parallelism.
 //!
-//! [`ExecutionBackend`]: pytorchsim::ExecutionBackend
 //! [`SimReport`]: pytorchsim::togsim::SimReport
 
 use std::sync::Arc;
@@ -22,17 +19,6 @@ use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 use pytorchsim::tog::{ExecUnit, ExecutableTog, FlatNode, FlatNodeKind};
 use pytorchsim::togsim::{JobSpec, SimReport, TogSim};
 use pytorchsim::{ExecutionBackend, RunOptions, Simulator};
-
-/// Every backend a serial run must stay bit-identical to: the legacy
-/// reference loop plus the parallel kernel at degenerate (1), typical (4),
-/// and oversubscribed (16, more workers than DRAM channels on the tiny
-/// config) shard counts.
-const ALTERNATE_BACKENDS: [ExecutionBackend; 4] = [
-    ExecutionBackend::Reference,
-    ExecutionBackend::Parallel { workers: 1 },
-    ExecutionBackend::Parallel { workers: 4 },
-    ExecutionBackend::Parallel { workers: 16 },
-];
 
 /// One representative per workload family in `crates/models`: a bare GEMM,
 /// an MLP, a transformer block stack, and a convolution layer.
@@ -78,20 +64,9 @@ fn every_backend_is_bit_identical_at_every_fidelity() {
     let sim = Simulator::new(SimConfig::tiny());
     for spec in workloads() {
         for (name, opts) in fidelities() {
-            // Instruction-level runs are orders of magnitude slower than
-            // TLS, so they check one representative of each alternate
-            // semantics; the full worker-count matrix runs at TLS here and
-            // on the multi-core config below.
-            let backends: &[ExecutionBackend] = if name == "tls" {
-                &ALTERNATE_BACKENDS
-            } else {
-                &[ExecutionBackend::Reference, ExecutionBackend::Parallel { workers: 4 }]
-            };
             let serial = run_backend(&sim, &spec, &opts, ExecutionBackend::Serial);
-            for &backend in backends {
-                let got = run_backend(&sim, &spec, &opts, backend);
-                assert_eq!(serial, got, "{} diverges at {name} under {backend}", spec.name);
-            }
+            let reference = run_backend(&sim, &spec, &opts, ExecutionBackend::Reference);
+            assert_eq!(serial, reference, "{} diverges at {name}", spec.name);
         }
     }
 }
@@ -101,12 +76,11 @@ fn every_backend_matches_serial_on_the_multi_core_config() {
     // The tpu_v3 memory system exercises deeper DRAM/NoC queues (and with
     // them the descriptor-rate wake-ups and backpressure retries).
     let sim = Simulator::new(SimConfig::tpu_v3_single_core());
+    let tls = RunOptions::tls();
     for spec in workloads() {
-        let serial = run_backend(&sim, &spec, &RunOptions::tls(), ExecutionBackend::Serial);
-        for backend in ALTERNATE_BACKENDS {
-            let got = run_backend(&sim, &spec, &RunOptions::tls(), backend);
-            assert_eq!(serial, got, "{} diverges on tpu_v3 under {backend}", spec.name);
-        }
+        let serial = run_backend(&sim, &spec, &tls, ExecutionBackend::Serial);
+        let reference = run_backend(&sim, &spec, &tls, ExecutionBackend::Reference);
+        assert_eq!(serial, reference, "{} diverges on tpu_v3", spec.name);
     }
 }
 
@@ -131,31 +105,24 @@ fn run_backend_counted(
     (report, hub.to_json().render())
 }
 
-/// Tentpole acceptance: the performance-counter layer inherits the
-/// engine's bit-identity guarantee. With the same workload and config,
-/// every backend must record *exactly* the same counter series — same
-/// keys, same buckets, same values — because every recording is stamped
-/// with simulated time, never host time or worker identity. And attaching
-/// counters must not perturb the simulated timeline (unlike the tracer,
-/// counters never force a serial fallback).
+/// The performance-counter layer inherits the engine's bit-identity
+/// guarantee. With the same workload and config, both backends must record
+/// *exactly* the same counter series — same keys, same buckets, same
+/// values — because every recording is stamped with simulated time, never
+/// host time. And attaching counters must not perturb the simulated
+/// timeline.
 #[test]
 fn counter_series_are_bit_identical_across_backends() {
     let sim = Simulator::new(SimConfig::tiny());
+    let tls = RunOptions::tls();
     for spec in workloads() {
-        let plain = run_backend(&sim, &spec, &RunOptions::tls(), ExecutionBackend::Serial);
-        let (serial_report, serial_counters) =
-            run_backend_counted(&sim, &spec, &RunOptions::tls(), ExecutionBackend::Serial);
-        assert_eq!(plain, serial_report, "{}: counters perturb the run", spec.name);
-        assert!(serial_counters.len() > 2, "{}: hub recorded nothing", spec.name);
-        for backend in ALTERNATE_BACKENDS {
-            let (report, counters) = run_backend_counted(&sim, &spec, &RunOptions::tls(), backend);
-            assert_eq!(serial_report, report, "{} report diverges under {backend}", spec.name);
-            assert_eq!(
-                serial_counters, counters,
-                "{} counter series diverge under {backend}",
-                spec.name
-            );
-        }
+        let plain = run_backend(&sim, &spec, &tls, ExecutionBackend::Serial);
+        let serial = run_backend_counted(&sim, &spec, &tls, ExecutionBackend::Serial);
+        assert_eq!(plain, serial.0, "{}: counters perturb the run", spec.name);
+        assert!(serial.1.len() > 2, "{}: hub recorded nothing", spec.name);
+        let reference = run_backend_counted(&sim, &spec, &tls, ExecutionBackend::Reference);
+        assert_eq!(serial.0, reference.0, "{} report diverges", spec.name);
+        assert_eq!(serial.1, reference.1, "{} counter series diverge", spec.name);
     }
 }
 
@@ -176,12 +143,10 @@ fn staggered_tenant_arrivals_are_bit_identical() {
     let mut event = TogSim::new(sim.config());
     seed(&mut event);
     let serial = event.run().expect("serial run");
-    for backend in ALTERNATE_BACKENDS {
-        let mut other = TogSim::new(sim.config());
-        seed(&mut other);
-        let got = other.run_with(backend).expect("backend run");
-        assert_eq!(serial, got, "staggered arrivals diverge under {backend}");
-    }
+    let mut reference = TogSim::new(sim.config());
+    seed(&mut reference);
+    let got = reference.run_with(ExecutionBackend::Reference).expect("reference run");
+    assert_eq!(serial, got, "staggered arrivals diverge");
 }
 
 #[test]
