@@ -3,12 +3,13 @@
 //! timing sweep.
 
 use ptsim_bench::{cli_scale_and_jobs, fig10, print_table};
+use ptsim_common::json::ToJson;
 
 fn main() {
     let (scale, jobs) = cli_scale_and_jobs();
     let rows = fig10::run(scale, jobs);
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("rows serialize"));
+        println!("{}", rows.to_json_string());
         return;
     }
     let table: Vec<Vec<String>> = rows

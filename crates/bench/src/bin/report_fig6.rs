@@ -3,12 +3,13 @@
 //! `--jobs N` to parallelize the compile warm-up (timings stay serial).
 
 use ptsim_bench::{cli_scale_and_jobs, fig6, fmt_x, print_table};
+use ptsim_common::json::ToJson;
 
 fn main() {
     let (scale, jobs) = cli_scale_and_jobs();
     let rows = fig6::run(scale, jobs);
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("rows serialize"));
+        println!("{}", rows.to_json_string());
         return;
     }
     let table: Vec<Vec<String>> = rows

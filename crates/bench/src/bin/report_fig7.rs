@@ -3,27 +3,18 @@
 //! `--jobs N` to run the sweeps over N worker threads.
 
 use ptsim_bench::{cli_scale_and_jobs, fig7, print_table};
-
-// Fields are read only through the serde derive (the `--json` path).
-#[allow(dead_code)]
-#[derive(serde::Serialize)]
-struct JsonOut {
-    hetero: fig7::HeteroResult,
-    sparse_validation: Vec<fig7::SparseValidation>,
-    tenancy: fig7::TenancyResult,
-}
+use ptsim_common::json::{Json, ToJson};
 
 fn main() {
     let (scale, jobs) = cli_scale_and_jobs();
 
     let h = fig7::run_hetero(scale, jobs);
     if std::env::args().any(|a| a == "--json") {
-        let out = JsonOut {
-            hetero: h,
-            sparse_validation: fig7::run_sparse_validation(scale),
-            tenancy: fig7::run_tenancy(scale, jobs),
-        };
-        println!("{}", serde_json::to_string_pretty(&out).expect("results serialize"));
+        let out = Json::obj()
+            .set("hetero", h.to_json())
+            .set("sparse_validation", fig7::run_sparse_validation(scale).to_json())
+            .set("tenancy", fig7::run_tenancy(scale, jobs).to_json());
+        println!("{}", out.render());
         return;
     }
     print_table(

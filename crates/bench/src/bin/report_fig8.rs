@@ -2,6 +2,7 @@
 //! JSON, `--jobs N` to run the sweeps over N worker threads.
 
 use ptsim_bench::{cli_scale_and_jobs, fig8, print_table};
+use ptsim_common::json::{Json, ToJson};
 
 fn print_rows(title: &str, rows: &[fig8::Row]) {
     let table: Vec<Vec<String>> = rows
@@ -17,25 +18,20 @@ fn print_rows(title: &str, rows: &[fig8::Row]) {
     print_table(title, &["workload", "baseline", "variant", "variant2"], &table);
 }
 
-#[derive(serde::Serialize)]
-struct JsonOut {
-    dma: Vec<fig8::Row>,
-    conv_batch1: Vec<fig8::Row>,
-    conv_small_c: Vec<fig8::Row>,
-}
-
 fn main() {
     let (scale, jobs) = cli_scale_and_jobs();
-    let out = JsonOut {
-        dma: fig8::run_dma(scale, jobs),
-        conv_batch1: fig8::run_conv_batch1(scale, jobs),
-        conv_small_c: fig8::run_conv_small_c(scale, jobs),
-    };
+    let dma = fig8::run_dma(scale, jobs);
+    let conv_batch1 = fig8::run_conv_batch1(scale, jobs);
+    let conv_small_c = fig8::run_conv_small_c(scale, jobs);
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&out).expect("results serialize"));
+        let out = Json::obj()
+            .set("dma", dma.to_json())
+            .set("conv_batch1", conv_batch1.to_json())
+            .set("conv_small_c", conv_small_c.to_json());
+        println!("{}", out.render());
         return;
     }
-    print_rows("Fig. 8a — DMA granularity (CG vs FG vs SFG)", &out.dma);
-    print_rows("Fig. 8b — CONV layout optimization, batch = 1", &out.conv_batch1);
-    print_rows("Fig. 8c — CONV layout optimization, small input channels", &out.conv_small_c);
+    print_rows("Fig. 8a — DMA granularity (CG vs FG vs SFG)", &dma);
+    print_rows("Fig. 8b — CONV layout optimization, batch = 1", &conv_batch1);
+    print_rows("Fig. 8c — CONV layout optimization, small input channels", &conv_small_c);
 }

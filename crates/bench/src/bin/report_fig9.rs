@@ -2,12 +2,13 @@
 //! mapping points over N worker threads.
 
 use ptsim_bench::{cli_scale_and_jobs, fig9, print_table};
+use ptsim_common::json::ToJson;
 
 fn main() {
     let (scale, jobs) = cli_scale_and_jobs();
     let rows = fig9::run(scale, jobs);
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("rows serialize"));
+        println!("{}", rows.to_json_string());
         return;
     }
     let table: Vec<Vec<String>> = rows

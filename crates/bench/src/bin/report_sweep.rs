@@ -193,7 +193,7 @@ fn main() {
 
     let report = grid(scale).run(&SweepOptions::with_jobs(jobs)).expect("sweep succeeds");
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&report).expect("report serializes"));
+        println!("{}", report.to_json_string());
         return;
     }
     let table: Vec<Vec<String>> = report

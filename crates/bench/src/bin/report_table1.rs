@@ -1,11 +1,17 @@
-//! Prints Table 1 — the feature matrix — as realized by this reproduction.\n//! Pass `--json` for JSON output.
+//! Prints Table 1 — the feature matrix — as realized by this reproduction.
+//! Pass `--json` for JSON output.
 
-// Fields are read only through the serde derive (the `--json` path).
-#[allow(dead_code)]
-#[derive(serde::Serialize)]
+use ptsim_common::json::{Json, ToJson};
+
 struct FeatureRow {
     feature: &'static str,
     status: &'static str,
+}
+
+impl ToJson for FeatureRow {
+    fn to_json(&self) -> Json {
+        Json::obj().set("feature", Json::str(self.feature)).set("status", Json::str(self.status))
+    }
 }
 
 fn main() {
@@ -39,6 +45,6 @@ fn main() {
         }
     }
     if json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("rows serialize"));
+        println!("{}", rows.to_json_string());
     }
 }

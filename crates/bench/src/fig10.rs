@@ -9,6 +9,7 @@
 
 use crate::Scale;
 use ptsim_common::config::SimConfig;
+use ptsim_common::json::{Json, ToJson};
 use pytorchsim::compiler::{execute_functional, Compiler, CompilerOptions};
 use pytorchsim::graph::autodiff::build_training_graph;
 use pytorchsim::graph::exec;
@@ -17,12 +18,18 @@ use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 use pytorchsim::{TrainingRun, TrainingSim};
 
 /// One batch size's training results.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Batch size.
     pub batch: usize,
     /// The training run (losses, timing, accuracy).
     pub run: TrainingRun,
+}
+
+impl ToJson for Row {
+    fn to_json(&self) -> Json {
+        Json::obj().set("batch", Json::u64(self.batch as u64)).set("run", self.run.to_json())
+    }
 }
 
 /// Runs the batch-size study. The per-iteration timing of every batch size

@@ -11,6 +11,7 @@
 
 use crate::Scale;
 use ptsim_common::config::SimConfig;
+use ptsim_common::json::{Json, ToJson};
 use ptsim_common::util::mean_abs_pct_error;
 use pytorchsim::baselines::{MaestroModel, RooflineModel, ScaleSimModel};
 use pytorchsim::models::{self, ModelSpec};
@@ -18,7 +19,7 @@ use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 use pytorchsim::RunOptions;
 
 /// One workload's accuracy row.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Workload name.
     pub name: String,
@@ -38,6 +39,18 @@ impl Row {
     /// Signed percent error of TLS vs the reference.
     pub fn tls_err_pct(&self) -> f64 {
         100.0 * (self.tls as f64 - self.reference as f64) / self.reference as f64
+    }
+}
+
+impl ToJson for Row {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("name", Json::str(&self.name))
+            .set("reference", Json::u64(self.reference))
+            .set("tls", Json::u64(self.tls))
+            .set("roofline", Json::u64(self.roofline))
+            .set("scalesim", Json::u64(self.scalesim))
+            .set("maestro", Json::u64(self.maestro))
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::Scale;
 use ptsim_common::config::{NocConfig, SimConfig};
+use ptsim_common::json::{Json, ToJson};
 use pytorchsim::baselines::MnpusimLike;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::sweep::{Sweep, SweepOptions};
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One workload's wall-clock measurements, in seconds.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Workload name.
     pub name: String,
@@ -46,6 +47,17 @@ impl Row {
     /// TLS-CN speedup over ILS.
     pub fn speedup_cn(&self) -> f64 {
         self.ils / self.tls_cn.max(1e-9)
+    }
+}
+
+impl ToJson for Row {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("name", Json::str(&self.name))
+            .set("tls_sn", Json::num(self.tls_sn))
+            .set("tls_cn", Json::num(self.tls_cn))
+            .set("ils", Json::num(self.ils))
+            .set("mnpusim", Json::num(self.mnpusim))
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::Scale;
 use ptsim_common::config::{MemSchedulerPolicy, SimConfig};
+use ptsim_common::json::{Json, ToJson};
 use ptsim_common::Cycle;
 use pytorchsim::models;
 use pytorchsim::sparse::{DetailedSparseSim, SparseCoreConfig, SpmspmLowering};
@@ -13,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Fig. 7a results: dense and sparse core latencies, alone vs integrated.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct HeteroResult {
     /// Dense core cycles on its own chip (half bandwidth).
     pub dense_alone: u64,
@@ -34,6 +35,16 @@ impl HeteroResult {
     /// Sparse-core slowdown from integration (the paper saw 40%).
     pub fn sparse_slowdown(&self) -> f64 {
         self.sparse_hetero as f64 / self.sparse_alone.max(1) as f64
+    }
+}
+
+impl ToJson for HeteroResult {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("dense_alone", Json::u64(self.dense_alone))
+            .set("sparse_alone", Json::u64(self.sparse_alone))
+            .set("dense_hetero", Json::u64(self.dense_hetero))
+            .set("sparse_hetero", Json::u64(self.sparse_hetero))
     }
 }
 
@@ -93,7 +104,7 @@ pub fn run_hetero(scale: Scale, jobs: usize) -> HeteroResult {
 }
 
 /// §5.1 validation: sparse TLS vs the detailed per-element reference.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SparseValidation {
     /// Workload label.
     pub name: String,
@@ -117,6 +128,17 @@ impl SparseValidation {
     /// TLS wall-clock speedup.
     pub fn speedup(&self) -> f64 {
         self.detailed_wall / self.tls_wall.max(1e-9)
+    }
+}
+
+impl ToJson for SparseValidation {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("name", Json::str(&self.name))
+            .set("detailed_cycles", Json::u64(self.detailed_cycles))
+            .set("tls_cycles", Json::u64(self.tls_cycles))
+            .set("detailed_wall", Json::num(self.detailed_wall))
+            .set("tls_wall", Json::num(self.tls_wall))
     }
 }
 
@@ -165,7 +187,7 @@ pub fn run_sparse_validation(scale: Scale) -> Vec<SparseValidation> {
 }
 
 /// Fig. 7b results: tenant latencies alone (half bandwidth) vs co-located.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenancyResult {
     /// BERT cycles alone.
     pub bert_alone: u64,
@@ -190,6 +212,18 @@ impl TenancyResult {
             100.0 * (self.resnet_shared as f64 - self.resnet_alone as f64)
                 / self.resnet_alone.max(1) as f64,
         )
+    }
+}
+
+impl ToJson for TenancyResult {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("bert_alone", Json::u64(self.bert_alone))
+            .set("resnet_alone", Json::u64(self.resnet_alone))
+            .set("bert_shared", Json::u64(self.bert_shared))
+            .set("resnet_shared", Json::u64(self.resnet_shared))
+            .set("bert_bw", Json::num(self.bert_bw))
+            .set("resnet_bw", Json::num(self.resnet_bw))
     }
 }
 

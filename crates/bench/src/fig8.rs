@@ -3,12 +3,13 @@
 
 use crate::Scale;
 use ptsim_common::config::{DmaGranularity, SimConfig};
+use ptsim_common::json::{Json, ToJson};
 use pytorchsim::compiler::CompilerOptions;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 
 /// One workload simulated under several compiler configurations.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Workload name.
     pub name: String,
@@ -22,6 +23,20 @@ impl Row {
     /// Speedup of variant `i` over the baseline.
     pub fn speedup(&self, i: usize) -> f64 {
         self.baseline as f64 / self.variants[i].1.max(1) as f64
+    }
+}
+
+impl ToJson for Row {
+    fn to_json(&self) -> Json {
+        let variants = self
+            .variants
+            .iter()
+            .map(|(label, cycles)| Json::Arr(vec![Json::str(label), Json::u64(*cycles)]))
+            .collect();
+        Json::obj()
+            .set("name", Json::str(&self.name))
+            .set("baseline", Json::u64(self.baseline))
+            .set("variants", Json::Arr(variants))
     }
 }
 

@@ -8,13 +8,14 @@
 
 use crate::Scale;
 use ptsim_common::config::{ChipletLinkConfig, SimConfig};
+use ptsim_common::json::{Json, ToJson};
 use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 use pytorchsim::tog::{AddrExpr, ExecUnit, ExecutableTog, TogBuilder, TogOpKind};
 use pytorchsim::togsim::JobSpec;
 use std::sync::Arc;
 
 /// One mapping strategy's result.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Mapping name.
     pub name: String,
@@ -24,6 +25,16 @@ pub struct Row {
     pub cycles: u64,
     /// Runtime normalized to the monolithic NPU.
     pub normalized: f64,
+}
+
+impl ToJson for Row {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("name", Json::str(&self.name))
+            .set("local_fraction", Json::num(self.local_fraction))
+            .set("cycles", Json::u64(self.cycles))
+            .set("normalized", Json::num(self.normalized))
+    }
 }
 
 /// Builds one core's tile stream with `local_of_4` of every four operand

@@ -1,8 +1,7 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§4–§5). Each `figN` module exposes a `run(scale)` function
 //! returning the figure's rows; the `report_figN` binaries print them at
-//! paper scale and the Criterion benches exercise the same pipelines at
-//! reduced scale.
+//! paper scale, or at reduced scale with `--bench`.
 //!
 //! Absolute numbers are not expected to match the paper (the substrate is a
 //! from-scratch simulator, not the authors' testbed); the *shape* — who
@@ -19,7 +18,7 @@ pub mod fig9;
 /// Experiment scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced sizes for CI and `cargo bench`.
+    /// Reduced sizes for CI and `--bench`.
     Bench,
     /// The paper's workload sizes (minutes of wall time).
     Full,

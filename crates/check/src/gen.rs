@@ -12,28 +12,18 @@
 use ptsim_common::config::{
     ChipletLinkConfig, DramConfig, L1CacheConfig, MemSchedulerPolicy, NocConfig, NocKind, SimConfig,
 };
+use ptsim_common::rng::{splitmix, Rng};
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::scheduler::ArrivalDist;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
-
-/// SplitMix64 finalizer: the same mixing the load generator uses for its
-/// per-tenant sub-seeds.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// An independent RNG sub-stream of `seed`. Each generated aspect of a case
 /// draws from its own stream, so replay stays stable under generator edits.
-fn stream(seed: u64, lane: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix(seed ^ lane.wrapping_mul(0xA076_1D64_78BD_642F)))
+fn stream(seed: u64, lane: u64) -> Rng {
+    Rng::seed_from_u64(splitmix(seed ^ lane.wrapping_mul(0xA076_1D64_78BD_642F)))
 }
 
-fn pick<T: Copy>(rng: &mut StdRng, choices: &[T]) -> T {
+fn pick<T: Copy>(rng: &mut Rng, choices: &[T]) -> T {
     choices[rng.gen_range(0..choices.len())]
 }
 
@@ -97,7 +87,7 @@ pub enum Workload {
 }
 
 impl Workload {
-    fn random(rng: &mut StdRng) -> Self {
+    fn random(rng: &mut Rng) -> Self {
         match rng.gen_range(0..7) {
             0 => Workload::Gemm { n: 8 * rng.gen_range(2..13) },
             1 => Workload::GemmRect {
@@ -265,7 +255,7 @@ pub struct TenantProfile {
 }
 
 impl TenantProfile {
-    fn random(rng: &mut StdRng) -> Self {
+    fn random(rng: &mut Rng) -> Self {
         let arrivals = match rng.gen_range(0..3) {
             0 => ArrivalDist::AtOnce,
             1 => ArrivalDist::Uniform { interval: rng.gen_range(100..5_001) },
@@ -372,7 +362,7 @@ impl CheckCase {
 /// Draws a valid machine configuration around [`SimConfig::tiny`]'s scale:
 /// every subsystem is mutated, but dimensions stay small enough that a case
 /// simulates in milliseconds.
-fn random_config(rng: &mut StdRng) -> SimConfig {
+fn random_config(rng: &mut Rng) -> SimConfig {
     let mut cfg = SimConfig::tiny();
     cfg.npu.cores = pick(rng, &[1, 1, 2, 2, 4]);
     let sa = pick(rng, &[4, 8, 8, 16]);

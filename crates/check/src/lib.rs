@@ -107,9 +107,7 @@ impl SuiteReport {
         self.outcomes.iter().all(|o| o.failures.is_empty())
     }
 
-    /// Hand-formatted JSON (the workspace's serde_json backend is stubbed
-    /// offline, so reports are emitted the same way the Chrome-trace
-    /// exporter does it: by construction).
+    /// The report as compact JSON text.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"seeds\":{},\"failures\":[", self.outcomes.len()));

@@ -8,10 +8,9 @@
 use crate::cycles::{ns_to_cycles, Cycle};
 use crate::error::{Error, Result};
 use crate::json::{FromJson, Json, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Granularity at which the compiler decomposes tensor DMAs (§3.6.3, §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DmaGranularity {
     /// One DMA per tensor tile (baseline).
     Coarse,
@@ -25,7 +24,7 @@ pub enum DmaGranularity {
 }
 
 /// DRAM command scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemSchedulerPolicy {
     /// First-ready, first-come-first-served: prefers row-buffer hits.
     #[default]
@@ -39,7 +38,7 @@ pub enum MemSchedulerPolicy {
 /// The model runs in the NPU core clock domain; `bytes_per_cycle_per_channel`
 /// is the data-bus width seen at that clock. The TPUv3 preset achieves
 /// 960 GB/s = 16 channels × 64 B/cycle × 940 MHz.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Number of independent (pseudo-)channels.
     pub channels: usize,
@@ -141,7 +140,7 @@ impl Default for DramConfig {
 }
 
 /// Interconnect fidelity selector (§4.1: PyTorchSim-SN vs PyTorchSim-CN).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NocKind {
     /// Simple latency–bandwidth network model (SN).
     Simple,
@@ -151,7 +150,7 @@ pub enum NocKind {
 }
 
 /// Configuration of an off-chip chiplet-to-chiplet link (§5.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipletLinkConfig {
     /// Number of chiplets; cores and DRAM channels are split evenly.
     pub chiplets: usize,
@@ -175,7 +174,7 @@ impl ChipletLinkConfig {
 }
 
 /// Interconnect configuration (Booksim analog).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocConfig {
     /// Fidelity of the on-chip network model.
     pub kind: NocKind,
@@ -245,7 +244,7 @@ impl Default for NocConfig {
 /// Optional per-core L1 data cache in front of DRAM (§3.3.3: NPUs usually
 /// use software-managed scratchpads, "however, it is still possible to
 /// model L1 caches by expressing cache accesses as nodes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1CacheConfig {
     /// Total capacity, bytes.
     pub size_bytes: u64,
@@ -289,7 +288,7 @@ impl L1CacheConfig {
 }
 
 /// NPU core/microarchitecture configuration (§3.3, Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpuConfig {
     /// Number of NPU cores.
     pub cores: usize,
@@ -317,7 +316,6 @@ pub struct NpuConfig {
     /// Optional per-core L1 data cache in front of DRAM. `None` (the
     /// default, like recent NPUs) uses the software-managed scratchpad
     /// only.
-    #[serde(default)]
     pub l1_cache: Option<L1CacheConfig>,
 }
 
@@ -435,7 +433,7 @@ impl Default for NpuConfig {
 }
 
 /// Top-level simulation configuration bundling every subsystem.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
     /// NPU core configuration.
     pub npu: NpuConfig,
@@ -626,12 +624,9 @@ impl SimConfig {
     }
 }
 
-// Hand-written JSON round-trips: the serde derives above are the public
-// API contract, but the vendored serde_json backend is an offline stub, so
-// every consumer that actually moves configs over a wire (`ptsim-serve`,
-// the report bins) goes through [`ToJson`]/[`FromJson`]. Field names match
-// the serde derives exactly, so documents are interchangeable with a real
-// serde_json once online.
+// JSON round-trips: every consumer that moves configs over a wire
+// (`ptsim-serve`, the report bins) goes through [`ToJson`]/[`FromJson`],
+// keyed by field name.
 
 impl ToJson for DmaGranularity {
     fn to_json(&self) -> Json {
@@ -973,10 +968,8 @@ mod tests {
 
     #[test]
     fn configs_serialize_round_trip() {
-        // The vendored serde_json backend is an offline stub, so the wire
-        // path every real consumer uses is the hand-written ToJson/FromJson
-        // pair — which must round-trip bit-identically, optional subtrees
-        // (L1 cache, chiplet link) included.
+        // The ToJson/FromJson pair must round-trip bit-identically,
+        // optional subtrees (L1 cache, chiplet link) included.
         let mut c = SimConfig::tpu_v3();
         let json = c.to_json_string();
         assert_eq!(SimConfig::from_json_str(&json).unwrap(), c);

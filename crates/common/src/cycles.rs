@@ -24,20 +24,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert_eq!(end - start, 40);
 /// assert_eq!(end.raw(), 140);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {

@@ -10,8 +10,6 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        #[derive(serde::Serialize, serde::Deserialize)]
-        #[serde(transparent)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -76,20 +74,7 @@ define_id!(
 ///
 /// `RequestId` is 64-bit because long simulations can issue billions of
 /// memory transactions.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
 impl RequestId {

@@ -1,15 +1,12 @@
 //! A minimal JSON value, parser, and renderer.
 //!
-//! The workspace avoids pulling heavyweight serialization dependencies into
-//! simulator crates (and the vendored `serde_json` is a type-check stub
-//! that fails at runtime), so every wire format in the tree — Chrome trace
-//! export, report `--json` output, and the `ptsim-serve` HTTP API — is
-//! built on this module: [`Json`] is the document model, [`parse_json`]
+//! The workspace's only JSON stack: every wire format in the tree — Chrome
+//! trace export, report `--json` output, and the `ptsim-serve` HTTP API —
+//! is built on this module. [`Json`] is the document model, [`parse_json`]
 //! the strict recursive-descent reader, and [`Json::render`] the writer.
-//! The [`ToJson`]/[`FromJson`] traits give structured types a real,
-//! offline-capable round-trip; numbers ride on `f64`, which is exact for
-//! every magnitude the simulator reports (cycle counts and byte totals stay
-//! far below 2^53).
+//! The [`ToJson`]/[`FromJson`] traits give structured types a round-trip;
+//! numbers ride on `f64`, which is exact for every magnitude the simulator
+//! reports (cycle counts and byte totals stay far below 2^53).
 //!
 //! # Examples
 //!

@@ -4,8 +4,8 @@
 //! strongly-typed identifiers ([`id`]), simulated-time arithmetic
 //! ([`cycles`]), hardware/software configuration ([`config`]), the common
 //! error type ([`error`]), the dependency-free JSON document model every
-//! wire format in the tree shares ([`json`]), and small numeric helpers
-//! ([`util`]).
+//! wire format in the tree shares ([`json`]), the seeded generator every
+//! random draw uses ([`rng`]), and small numeric helpers ([`util`]).
 //!
 //! # Examples
 //!
@@ -26,6 +26,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod id;
 pub mod json;
+pub mod rng;
 pub mod util;
 
 pub use cancel::CancelToken;

@@ -3,10 +3,9 @@
 use ptsim_common::config::DmaGranularity;
 use ptsim_common::fingerprint::Fnv;
 use ptsim_common::json::{FromJson, Json, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Knobs of the NPU compiler backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompilerOptions {
     /// DMA decomposition strategy (Fig. 8a: CG vs FG vs SFG).
     pub dma: DmaGranularity,

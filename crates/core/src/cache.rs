@@ -83,7 +83,7 @@ impl CacheKey {
 }
 
 /// Hit/miss/in-flight counters of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageStats {
     /// Lookups served without rebuilding (including reuse short-circuited
     /// by a higher-level hit).
@@ -124,7 +124,7 @@ impl StageStats {
 ///
 /// `hits`/`compiles` mirror the model stage and predate the staged
 /// pipeline; they are kept as the top-level summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileCacheStats {
     /// Requests served from the cache (model level).
     pub hits: u64,

@@ -61,7 +61,7 @@ pub const WIRE_VERSION: u64 = 3;
 pub const MAX_WORKERS: usize = 256;
 
 /// A model drawn from the zoo by family and dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelRequest {
     /// Square GEMM of dimension `n`.
     Gemm {
@@ -277,7 +277,7 @@ impl FromJson for ModelRequest {
 }
 
 /// Requested simulation fidelity, as a wire-friendly tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FidelitySpec {
     /// Tile-Level Simulation (fast; the paper's default).
     #[default]
@@ -329,7 +329,7 @@ impl FromJson for FidelitySpec {
 }
 
 /// One complete, serializable simulation request.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The model to build and simulate.
     pub model: ModelRequest,
@@ -346,7 +346,6 @@ pub struct RunSpec {
     pub backend: ExecutionBackend,
     /// Request an inline performance-counter summary (on the wire, v3
     /// only; defaults to off).
-    #[serde(default)]
     pub profile: bool,
 }
 

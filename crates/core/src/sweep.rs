@@ -247,7 +247,7 @@ impl SweepOptions {
 }
 
 /// One point's outcome.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointResult {
     /// The point's label.
     pub label: String,
@@ -260,7 +260,7 @@ pub struct PointResult {
 }
 
 /// The collected results of a sweep, in input order.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Per-point results, index-aligned with the submitted points.
     pub results: Vec<PointResult>,

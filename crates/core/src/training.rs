@@ -12,6 +12,7 @@
 use crate::cache::CompileCache;
 use crate::simulator::RunOptions;
 use ptsim_common::config::SimConfig;
+use ptsim_common::json::{Json, ToJson};
 use ptsim_common::{Error, Result};
 use ptsim_compiler::{Compiler, CompilerOptions};
 use ptsim_graph::autodiff::build_training_graph;
@@ -23,7 +24,7 @@ use ptsim_togsim::JobSpec;
 use std::sync::Arc;
 
 /// The result of a simulated training run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingRun {
     /// Loss after each iteration.
     pub losses: Vec<f32>,
@@ -41,6 +42,17 @@ impl TrainingRun {
     /// First iteration whose loss drops below `target`, if any.
     pub fn iterations_to_loss(&self, target: f32) -> Option<usize> {
         self.losses.iter().position(|&l| l < target).map(|i| i + 1)
+    }
+}
+
+impl ToJson for TrainingRun {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("losses", Json::Arr(self.losses.iter().map(|&l| Json::num(l)).collect()))
+            .set("cycles_per_iteration", Json::u64(self.cycles_per_iteration))
+            .set("total_cycles", Json::u64(self.total_cycles))
+            .set("iterations", Json::u64(self.iterations as u64))
+            .set("final_accuracy", Json::num(self.final_accuracy))
     }
 }
 

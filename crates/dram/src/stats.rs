@@ -5,7 +5,7 @@ use ptsim_common::json::{FromJson, Json, ToJson};
 use std::collections::HashMap;
 
 /// Counters accumulated by the DRAM model.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DramStats {
     /// Read transactions served.
     pub reads: u64,

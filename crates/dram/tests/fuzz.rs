@@ -100,8 +100,7 @@ proptest! {
 
     #[test]
     fn sequential_beats_random_in_completion_time(seed in 0u64..50) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = ptsim_common::rng::Rng::seed_from_u64(seed);
         let n = 256;
         let seq: Vec<(u64, bool, u64)> = (0..n).map(|i| (i * 64, false, 0)).collect();
         let rnd: Vec<(u64, bool, u64)> =

@@ -8,11 +8,10 @@
 use ptsim_common::{Error, Result};
 use ptsim_tensor::ops::Conv2dParams;
 use ptsim_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Convolution geometry carried by conv nodes (serializable mirror of
 /// [`Conv2dParams`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvGeom {
     /// Stride along both spatial axes.
     pub stride: usize,
@@ -37,7 +36,7 @@ impl From<ConvGeom> for Conv2dParams {
 ///
 /// Operator arity is fixed per variant and validated by
 /// [`Op::infer_shape`]. Elementwise binary operators broadcast like NumPy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Op {
     /// External input (activations); arity 0.

@@ -8,13 +8,12 @@
 //! field structure mirrors Fig. 3).
 
 use crate::reg::{Reg, VReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which DMA descriptor field a `config` instruction sets (§3.4: "four
 /// different config instructions that use parameters from the specified
 /// configuration registers", extended with 4D fields per §3.6.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum DmaField {
     /// Tile shape: rows in `rs1`, columns (elements) in `rs2`.
@@ -50,7 +49,7 @@ impl DmaField {
 }
 
 /// One NPU instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Instr {
     // --- Scalar base ---

@@ -4,12 +4,11 @@ use crate::encode::{decode, encode};
 use crate::instr::Instr;
 use crate::reg::{Reg, VReg};
 use ptsim_common::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compiled kernel: a name plus a finite instruction sequence ending in
 /// `halt`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Kernel name, e.g. `"gemm_tile_m128_k128_n128"`.
     pub name: String,

@@ -1,6 +1,5 @@
 //! Scalar and vector register names.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of scalar registers (`x0` is hardwired to zero, as in RISC-V).
@@ -11,10 +10,7 @@ pub const NUM_VECTOR_REGS: u8 = 32;
 /// A scalar (integer) register, `x0..x31`.
 ///
 /// `x0` always reads as zero and ignores writes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Reg(u8);
 
 impl Reg {
@@ -54,10 +50,7 @@ impl fmt::Display for Reg {
 /// One architectural vector register spans every vector unit: with `U` units
 /// of `L` lanes, it holds `U × L` f32 elements (the VCIX-style wide
 /// interface of §3.3.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VReg(u8);
 
 impl VReg {

@@ -6,10 +6,9 @@
 //! classification problem whose loss demonstrably decreases — without
 //! shipping the real dataset.
 
+use ptsim_common::rng::Rng;
 use ptsim_tensor::ops::one_hot;
 use ptsim_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A deterministic synthetic dataset of 28×28 "digit" images.
 #[derive(Debug, Clone)]
@@ -26,7 +25,7 @@ impl SyntheticMnist {
 
     /// Generates `n` samples from `seed`.
     pub fn generate(n: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         // Class prototypes.
         let protos = Tensor::randn([Self::CLASSES, Self::PIXELS], seed ^ 0x9E37_79B9);
         let mut images = vec![0.0f32; n * Self::PIXELS];

@@ -54,7 +54,7 @@ pub struct NocMessage {
 }
 
 /// Interconnect statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NocStats {
     /// Messages delivered.
     pub messages: u64,

@@ -21,9 +21,8 @@
 //! # let _ = Cycle::ZERO;
 //! ```
 
+use ptsim_common::rng::{splitmix, Rng};
 use ptsim_common::{Cycle, TenantId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Request inter-arrival distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,13 +86,9 @@ impl LoadGenerator {
     /// the generator seed and the tenant index. Each tenant owning its own
     /// stream keeps profiles decoupled — editing tenant 0's request count
     /// must never reshuffle tenant 1's Poisson arrivals (the old code
-    /// threaded one `StdRng` through every profile in order, so it did).
+    /// threaded one RNG through every profile in order, so it did).
     fn tenant_seed(&self, t: usize) -> u64 {
-        let mut z = self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix(self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Generates the merged, arrival-sorted request stream. Tenant streams
@@ -102,7 +97,7 @@ impl LoadGenerator {
     pub fn generate(&self, profiles: &[RequestProfile]) -> Vec<Request> {
         let mut requests = Vec::new();
         for (t, profile) in profiles.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(self.tenant_seed(t));
+            let mut rng = Rng::seed_from_u64(self.tenant_seed(t));
             let mut at = 0u64;
             for _ in 0..profile.count {
                 let arrival = match profile.arrivals {
@@ -278,7 +273,7 @@ mod tests {
 
     #[test]
     fn tenant_streams_are_independent_of_each_other() {
-        // Regression: one `StdRng` used to thread through all profiles in
+        // Regression: one RNG used to thread through all profiles in
         // order, so editing tenant 0's request count reshuffled tenant 1's
         // Poisson arrivals. Streams now derive per-tenant sub-seeds.
         let noisy = ArrivalDist::Poisson { mean_interval: 300.0 };

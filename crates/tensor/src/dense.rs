@@ -1,10 +1,8 @@
 //! Dense `f32` tensors with row-major storage.
 
 use crate::shape::{IndexIter, Shape};
+use ptsim_common::rng::Rng;
 use ptsim_common::{Error, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major tensor of `f32` values.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.data(), a.data());
 /// # Ok::<(), ptsim_common::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -78,10 +76,9 @@ impl Tensor {
     /// Standard-normal random tensor from a deterministic seed.
     pub fn randn(shape: impl Into<Shape>, seed: u64) -> Self {
         let shape = shape.into();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let n = shape.numel();
-        // Box-Muller transform; rand 0.8's StandardNormal lives in rand_distr,
-        // which is outside the allowed dependency set.
+        // Box-Muller transform over uniform draws.
         let mut data = Vec::with_capacity(n);
         while data.len() < n {
             let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
@@ -99,7 +96,7 @@ impl Tensor {
     /// Uniform random tensor in `[lo, hi)` from a deterministic seed.
     pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, seed: u64) -> Self {
         let shape = shape.into();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let n = shape.numel();
         let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
         Tensor { shape, data }

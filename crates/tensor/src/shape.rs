@@ -1,7 +1,6 @@
 //! Tensor shapes, strides and broadcasting rules.
 
 use ptsim_common::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The dimensions of a tensor, outermost first (row-major / C order).
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(s.numel(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -5,10 +5,8 @@
 //! operands and their per-tile cost is measured by functional simulation.
 
 use crate::dense::Tensor;
+use ptsim_common::rng::Rng;
 use ptsim_common::{Error, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A compressed-sparse-row `f32` matrix.
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(s.to_dense().allclose(&d, 0.0));
 /// # Ok::<(), ptsim_common::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -95,7 +93,7 @@ impl CsrMatrix {
     /// `seed`. `density` is clamped to `[0, 1]`.
     pub fn random(rows: usize, cols: usize, density: f64, seed: u64) -> Self {
         let density = density.clamp(0.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut triplets = Vec::new();
         for r in 0..rows {
             for c in 0..cols {

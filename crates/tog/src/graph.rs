@@ -2,14 +2,13 @@
 
 use crate::expr::AddrExpr;
 use ptsim_common::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which execution engine a compute node occupies. The paper captures
 /// vector- and matrix-unit latencies separately in the TOG ("In our example
 /// model of Google TPU, we capture the information for vector and matrix
 /// units separately").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecUnit {
     /// The dataflow (systolic array) pipeline.
     Matrix,
@@ -18,7 +17,7 @@ pub enum ExecUnit {
 }
 
 /// The operation performed by one TOG node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TogOpKind {
     /// A tile compute operation with an offline-measured latency.
     Compute {
@@ -120,7 +119,7 @@ impl TogOpKind {
 }
 
 /// One TOG node: an operation plus dependencies on other node ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TogOp {
     /// The operation.
     pub kind: TogOpKind,
@@ -130,7 +129,7 @@ pub struct TogOp {
 }
 
 /// A structured TOG item: a node or a counted loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TogItem {
     /// A counted loop (`loopBegin`/`loopEnd` pair of the paper).
     Loop {
@@ -151,7 +150,7 @@ pub enum TogItem {
 }
 
 /// A Tile Operation Graph.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tog {
     /// Name (model + operation + batch).
     pub name: String,
@@ -162,24 +161,6 @@ pub struct Tog {
 }
 
 impl Tog {
-    /// Serializes to the on-disk JSON format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Serde`] if serialization fails.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|e| Error::Serde(e.to_string()))
-    }
-
-    /// Parses the on-disk JSON format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Serde`] on malformed input.
-    pub fn from_json(s: &str) -> Result<Self> {
-        serde_json::from_str(s).map_err(|e| Error::Serde(e.to_string()))
-    }
-
     /// Flattens loops into an executable instance graph.
     ///
     /// # Errors
@@ -322,7 +303,7 @@ impl Expander<'_> {
 }
 
 /// One expanded node instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatNode {
     /// The resolved operation.
     pub kind: FlatNodeKind,
@@ -334,7 +315,7 @@ pub struct FlatNode {
 }
 
 /// The resolved operation of a [`FlatNode`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlatNodeKind {
     /// A tile compute with its final latency.
     Compute {
@@ -393,7 +374,7 @@ impl FlatNodeKind {
 }
 
 /// A fully expanded TOG ready for tile-level simulation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExecutableTog {
     /// Name inherited from the TOG.
     pub name: String,
@@ -624,21 +605,6 @@ mod tests {
         let flat = b.finish().expand().unwrap();
         assert_eq!(flat.nodes.len(), 4);
         assert_eq!(flat.nodes[3].deps, vec![2]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let tog = simple_loop_tog(2);
-        let json = match tog.to_json() {
-            Ok(j) => j,
-            // The offline serde_json stub type-checks the derives but
-            // cannot serialize at runtime; skip the round trip there.
-            Err(e) if e.to_string().contains("stub") => return,
-            Err(e) => panic!("serialize: {e}"),
-        };
-        let back = Tog::from_json(&json).unwrap();
-        assert_eq!(back, tog);
-        assert!(Tog::from_json("not json").is_err());
     }
 
     proptest! {

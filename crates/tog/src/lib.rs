@@ -8,8 +8,8 @@
 //! loads be hoisted ahead of the compute loop for compute–DMA overlap.
 //!
 //! The paper serializes TOGs in a lightly customized ONNX container; this
-//! reproduction uses the `serde` data model (JSON on disk), which carries
-//! the same information. [`Tog::expand`] flattens the structured loops into
+//! reproduction keeps them in memory, where the compiler caches them.
+//! [`Tog::expand`] flattens the structured loops into
 //! an [`ExecutableTog`] with resolved addresses and instance-level
 //! dependencies, which is what `ptsim-togsim` executes.
 //!

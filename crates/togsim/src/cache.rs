@@ -11,7 +11,7 @@
 use ptsim_common::config::L1CacheConfig;
 
 /// Cache activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Read transactions served from the cache.
     pub hits: u64,

@@ -51,7 +51,7 @@ impl Hasher for TxHasher {
 pub struct JobId(pub usize);
 
 /// Simulation fidelity of compute nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fidelity {
     /// Tile-Level Simulation: use the TOG's offline latencies (fast).
     #[default]
@@ -79,9 +79,7 @@ pub enum Fidelity {
 /// `run`/`run_reference` entry points: one enum, threaded through
 /// `RunOptions`, the sweep grid, the `RunSpec` wire schema, and the
 /// simulation server.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionBackend {
     /// Single-threaded event kernel (the default). Deterministic and the
     /// baseline [`ExecutionBackend::Reference`] must match bit-for-bit.

@@ -6,7 +6,7 @@ use ptsim_dram::DramStats;
 use ptsim_noc::NocStats;
 
 /// Per-job (per-TOG) results.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// TOG name.
     pub name: String,
@@ -40,7 +40,7 @@ impl JobReport {
 }
 
 /// Whole-simulation results.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Completion time of the last job.
     pub total_cycles: u64,
