@@ -96,12 +96,10 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Row> {
 
     let mut sweep = Sweep::new();
     for spec in &specs {
-        // Timing-only ILS: functional execution does not change simulated
-        // cycles, only wall time (which Fig. 6 measures).
         sweep.push(
             SweepPoint::model(spec.clone(), cfg.clone())
                 .with_label(format!("{}#ils", spec.name))
-                .with_run(RunOptions::ils_timing()),
+                .with_run(RunOptions::ils()),
         );
         sweep.push(
             SweepPoint::model(spec.clone(), cfg.clone()).with_label(format!("{}#tls", spec.name)),

@@ -5,9 +5,12 @@
 //! - **TLS-SN**: tile-level simulation with the simple latency–bandwidth
 //!   network,
 //! - **TLS-CN**: tile-level simulation with the flit-level crossbar,
-//! - **ILS**: instruction-level mode (every kernel's machine code
-//!   re-executed per tile) — the slow comparator, standing in for
-//!   Accel-Sim-style instruction-granular simulation,
+//! - **ILS**: instruction-level mode, the slow comparator standing in for
+//!   Accel-Sim-style simulation: the engine re-times every kernel's machine
+//!   code per tile instance, and the compiled kernels execute functionally
+//!   on seeded data — the real arithmetic the paper's ILS pays for (§2.1).
+//!   Outside the timer the outputs are checked against eager execution; a
+//!   divergence or a failure to execute is a finding, never skipped,
 //! - **mNPUsim-like**: trace-granular serial simulation with per-access
 //!   address-record formatting.
 //!
@@ -17,11 +20,16 @@ use crate::Scale;
 use ptsim_common::config::{NocConfig, SimConfig};
 use ptsim_common::json::{Json, ToJson};
 use pytorchsim::baselines::MnpusimLike;
+use pytorchsim::compiler::execute_functional;
+use pytorchsim::graph::exec;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::sweep::{Sweep, SweepOptions};
 use pytorchsim::{CompileCache, RunOptions, Simulator};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Seed of the ILS column's sample inputs and parameters.
+const SEED: u64 = 0;
 
 /// One workload's wall-clock measurements, in seconds.
 #[derive(Debug, Clone)]
@@ -32,10 +40,15 @@ pub struct Row {
     pub tls_sn: f64,
     /// TLS with the crossbar network.
     pub tls_cn: f64,
-    /// Instruction-level mode.
+    /// Instruction-level mode: the ILS engine run plus functional
+    /// execution of the compiled kernels.
     pub ils: f64,
     /// The mNPUsim-like comparator.
     pub mnpusim: f64,
+    /// The ILS outputs against eager execution: the largest absolute
+    /// difference when it is within [`exec::FUNCTIONAL_TOL`], otherwise the
+    /// finding (a divergence, or a failure to execute functionally).
+    pub outputs: Result<f32, String>,
 }
 
 impl Row {
@@ -58,7 +71,15 @@ impl ToJson for Row {
             .set("tls_cn", Json::num(self.tls_cn))
             .set("ils", Json::num(self.ils))
             .set("mnpusim", Json::num(self.mnpusim))
+            .set("ils_max_abs_diff", self.outputs.as_ref().map_or(Json::Null, |&d| Json::num(d)))
+            .set("ils_finding", self.outputs.as_ref().map_or_else(Json::str, |_| Json::Null))
     }
+}
+
+/// Fig. 6's shape, ordering only: TLS-SN and TLS-CN are both faster than
+/// ILS on every row. No speedup ratio is checked; those depend on the host.
+pub fn shape_holds(rows: &[Row]) -> bool {
+    !rows.is_empty() && rows.iter().all(|r| r.tls_sn < r.ils && r.tls_cn < r.ils)
 }
 
 /// The figure's workload list.
@@ -111,16 +132,27 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Row> {
             sim_cn.run(&spec, RunOptions::tls()).expect("tls-cn");
             let tls_cn = t.elapsed().as_secs_f64();
 
+            let params = spec.init_params(SEED);
+            let inputs = spec.sample_inputs(SEED).expect("seeded inputs");
             let t = Instant::now();
             sim_cn.run(&spec, RunOptions::ils()).expect("ils");
+            let npu = execute_functional(&compiled, &cn.npu, &inputs, &params);
             let ils = t.elapsed().as_secs_f64();
+            let outputs =
+                npu.map_err(|e| format!("cannot execute functionally: {e}")).and_then(|npu| {
+                    match exec::max_abs_diff(&spec.graph, &inputs, &params, &npu) {
+                        Ok(diff) if diff <= exec::FUNCTIONAL_TOL => Ok(diff),
+                        Ok(diff) => Err(format!("diverges from eager (max abs diff {diff:.3e})")),
+                        Err(e) => Err(format!("eager comparison: {e}")),
+                    }
+                });
 
             let mut mn = MnpusimLike::new(&cn);
             let t = Instant::now();
             mn.simulate(&compiled.tog);
             let mnpusim = t.elapsed().as_secs_f64();
 
-            Row { name: spec.name.clone(), tls_sn, tls_cn, ils, mnpusim }
+            Row { name: spec.name.clone(), tls_sn, tls_cn, ils, mnpusim, outputs }
         })
         .collect()
 }

@@ -33,6 +33,8 @@ pub use gen::CheckCase;
 pub use oracle::{Oracle, ORACLES};
 pub use shrink::shrink;
 
+use ptsim_common::json::escape;
+
 /// One confirmed finding: which oracle failed on which seed, with the
 /// shrunk reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,9 +120,9 @@ impl SuiteReport {
             out.push_str(&format!(
                 "{{\"seed\":{},\"oracle\":\"{}\",\"message\":\"{}\",\"shrunk\":\"{}\"}}",
                 f.seed,
-                escape_json(f.oracle),
-                escape_json(&f.message),
-                escape_json(&f.shrunk)
+                escape(f.oracle),
+                escape(&f.message),
+                escape(&f.shrunk)
             ));
         }
         out.push_str("]}");
@@ -131,23 +133,6 @@ impl SuiteReport {
 /// Runs the oracle set over a range of seeds.
 pub fn run_suite(seeds: impl IntoIterator<Item = u64>) -> SuiteReport {
     SuiteReport { outcomes: seeds.into_iter().map(run_seed).collect() }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

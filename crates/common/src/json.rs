@@ -201,6 +201,22 @@ fn render_num(n: f64, out: &mut String) {
 
 fn render_str(s: &str, out: &mut String) {
     out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Escapes `s` for embedding between the quotes of a JSON string literal:
+/// quotes, backslashes, and control characters (`\n`, `\r`, `\t` short,
+/// the rest as `\u00XX`). The workspace's one string escaper — [`Json::render`]
+/// and the hand-assembled writers (Chrome traces, `/metrics.json`, check
+/// reports) all go through it.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -212,7 +228,6 @@ fn render_str(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Renders a type as a [`Json`] document.
@@ -471,6 +486,12 @@ mod tests {
         assert_eq!(v.get("c"), Some(&Json::Bool(true)));
         let Json::Arr(items) = v.get("a").unwrap() else { panic!() };
         assert_eq!(items[2], Json::Num(-3.0));
+    }
+
+    #[test]
+    fn escape_handles_quotes_and_control() {
+        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -16,12 +16,12 @@ fn main() {
 
     // Warm the compile cache so the trials measure engine-phase latency,
     // then time the uncancelled reference.
-    sim.run(&spec, RunOptions::ils_timing()).unwrap();
+    sim.run(&spec, RunOptions::ils()).unwrap();
     let started = Instant::now();
-    let report = sim.run(&spec, RunOptions::ils_timing()).unwrap();
+    let report = sim.run(&spec, RunOptions::ils()).unwrap();
     let reference = started.elapsed();
     println!(
-        "reference: gemm_512 IlsTiming, {} cycles in {:.1} ms uncancelled",
+        "reference: gemm_512 ILS, {} cycles in {:.1} ms uncancelled",
         report.total_cycles,
         reference.as_secs_f64() * 1e3
     );
@@ -32,7 +32,7 @@ fn main() {
         let token = CancelToken::with_timeout(deadline);
         let started = Instant::now();
         let err = sim
-            .run(&spec, RunOptions::ils_timing().with_cancel(token))
+            .run(&spec, RunOptions::ils().with_cancel(token))
             .expect_err("a deadline at 1/4 of the reference wall time must fire");
         let elapsed = started.elapsed();
         let overshoot = elapsed.saturating_sub(deadline);

@@ -282,10 +282,9 @@ pub enum FidelitySpec {
     /// Tile-Level Simulation (fast; the paper's default).
     #[default]
     Tls,
-    /// Instruction-Level Simulation, timing and functional execution.
+    /// Instruction-Level Simulation. Parsing also accepts one retired
+    /// legacy tag for it (see the `FromJson` impl); it is never emitted.
     Ils,
-    /// Instruction-Level Simulation, timing only.
-    IlsTiming,
 }
 
 impl FidelitySpec {
@@ -294,7 +293,6 @@ impl FidelitySpec {
         match self {
             FidelitySpec::Tls => RunOptions::tls(),
             FidelitySpec::Ils => RunOptions::ils(),
-            FidelitySpec::IlsTiming => RunOptions::ils_timing(),
         }
     }
 
@@ -303,7 +301,6 @@ impl FidelitySpec {
         match self {
             FidelitySpec::Tls => "tls",
             FidelitySpec::Ils => "ils",
-            FidelitySpec::IlsTiming => "ils_timing",
         }
     }
 }
@@ -318,11 +315,10 @@ impl FromJson for FidelitySpec {
     fn from_json(v: &Json) -> std::result::Result<Self, String> {
         match v.as_str() {
             Some("tls") => Ok(FidelitySpec::Tls),
-            Some("ils") => Ok(FidelitySpec::Ils),
-            Some("ils_timing") => Ok(FidelitySpec::IlsTiming),
-            Some(other) => Err(format!(
-                "unknown fidelity {other:?} (expected \"tls\", \"ils\", or \"ils_timing\")"
-            )),
+            // Legacy spelling, accepted for one release: ILS no longer has
+            // a separate timing-only variant.
+            Some("ils" | "ils_timing") => Ok(FidelitySpec::Ils),
+            Some(other) => Err(format!("unknown fidelity {other:?} (expected \"tls\" or \"ils\")")),
             None => Err("fidelity must be a string".into()),
         }
     }
@@ -776,6 +772,20 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.fingerprint(), a.clone().fingerprint());
+    }
+
+    #[test]
+    fn legacy_ils_timing_spelling_is_the_same_spec_as_ils() {
+        let model = r#""model":{"kind":"gemm","n":16}"#;
+        let legacy = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"ils_timing"}}"#));
+        let current = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"ils"}}"#));
+        let (legacy, current) = (legacy.unwrap(), current.unwrap());
+        assert_eq!(legacy.fidelity, FidelitySpec::Ils);
+        assert_eq!(legacy.canonical_json(), current.canonical_json());
+        assert_eq!(legacy.fingerprint(), current.fingerprint());
+        assert!(!legacy.canonical_json().contains("ils_timing"));
+        let err = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"slow"}}"#)).unwrap_err();
+        assert!(err.contains(r#"expected "tls" or "ils""#), "{err}");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! |-----------------------------------|--------------------------------------------|
 //! | `run_inference(spec)`             | `run(spec, RunOptions::tls())`             |
 //! | `run_inference_ils(spec)`         | `run(spec, RunOptions::ils())`             |
-//! | `run_inference_ils_timing(spec)`  | `run(spec, RunOptions::ils_timing())`      |
 //! | `set_tracer(t)` after `new`       | `Simulator::builder(cfg).tracer(t).build()`|
 //! | `TogSim::run_reference()`         | `run_with(ExecutionBackend::Reference)`    |
 //!
@@ -71,21 +70,13 @@ impl RunOptions {
     }
 
     /// Instruction-level fidelity: every tile kernel's machine code is
-    /// timed on the core pipeline model *and* executed functionally (the
-    /// slow ILS mode of Fig. 6, the high-fidelity reference of Fig. 5).
+    /// re-timed on the core pipeline model per tile instance (the
+    /// high-fidelity reference of Fig. 5). It only times; real outputs
+    /// come from [`Simulator::execute`] / `execute_functional`, which
+    /// Fig. 6's ILS column runs alongside it.
     pub fn ils() -> Self {
         RunOptions {
-            fidelity: Fidelity::Ils { per_tile_overhead: ILS_PER_TILE_OVERHEAD, functional: true },
-            ..RunOptions::default()
-        }
-    }
-
-    /// ILS with functional execution disabled: identical simulated cycles
-    /// at a fraction of the wall-clock cost, since functional execution
-    /// affects only how long the *simulator* takes, never simulated time.
-    pub fn ils_timing() -> Self {
-        RunOptions {
-            fidelity: Fidelity::Ils { per_tile_overhead: ILS_PER_TILE_OVERHEAD, functional: false },
+            fidelity: Fidelity::Ils { per_tile_overhead: ILS_PER_TILE_OVERHEAD },
             ..RunOptions::default()
         }
     }
@@ -149,7 +140,7 @@ impl RunOptions {
         self
     }
 
-    /// Whether this run needs kernel programs attached (ILS re-executes
+    /// Whether this run needs kernel programs attached (ILS re-times
     /// machine code).
     pub fn needs_kernels(&self) -> bool {
         matches!(self.fidelity, Fidelity::Ils { .. })
@@ -462,16 +453,6 @@ mod tests {
         let serial = sim.run(&spec, RunOptions::tls()).unwrap();
         let reference = RunOptions::tls().with_backend(ExecutionBackend::Reference);
         assert_eq!(serial, sim.run(&spec, reference).unwrap());
-    }
-
-    #[test]
-    fn ils_timing_matches_ils_functional_cycles() {
-        let sim = Simulator::new(SimConfig::tiny());
-        let spec = gemm(32);
-        assert_eq!(
-            sim.run(&spec, RunOptions::ils_timing()).unwrap().total_cycles,
-            sim.run(&spec, RunOptions::ils()).unwrap().total_cycles
-        );
     }
 
     #[test]

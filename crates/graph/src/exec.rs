@@ -112,6 +112,33 @@ pub fn execute(graph: &Graph, inputs: &[Tensor], params: &[Tensor]) -> Result<Ex
     })
 }
 
+/// Largest [`max_abs_diff`] a functional execution path may show against
+/// eager execution.
+pub const FUNCTIONAL_TOL: f32 = 1e-2;
+
+/// Largest element-wise absolute difference between `outputs` and eager
+/// execution of `graph` on the same inputs and parameters: the check every
+/// functional execution path is held to (within [`FUNCTIONAL_TOL`]).
+///
+/// # Errors
+///
+/// Propagates [`execute`] failures, and returns [`Error::InvalidGraph`] or
+/// [`Error::ShapeMismatch`] if `outputs` differ in count or shape.
+pub fn max_abs_diff(
+    graph: &Graph,
+    inputs: &[Tensor],
+    params: &[Tensor],
+    outputs: &[Tensor],
+) -> Result<f32> {
+    let eager = execute(graph, inputs, params)?;
+    let eager = eager.outputs();
+    if outputs.len() != eager.len() {
+        let (n, e) = (outputs.len(), eager.len());
+        return Err(Error::InvalidGraph(format!("{n} outputs vs {e} eager outputs")));
+    }
+    outputs.iter().zip(eager).try_fold(0.0f32, |worst, (o, e)| Ok(worst.max(o.max_abs_diff(e)?)))
+}
+
 /// Applies one operator to already-evaluated operands.
 ///
 /// This is the single-op entry point used by the hybrid functional executor

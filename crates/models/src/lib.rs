@@ -80,6 +80,32 @@ impl ModelSpec {
             .collect()
     }
 
+    /// Deterministic sample inputs, one per graph input: standard normals,
+    /// except the MLP label input `"t"`, which is one-hot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a one-hot construction failure (a label input with zero
+    /// classes).
+    pub fn sample_inputs(&self, seed: u64) -> Result<Vec<Tensor>> {
+        self.graph
+            .inputs()
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let node = self.graph.node(id);
+                if node.name == "t" {
+                    let classes = node.shape.dim(1);
+                    let labels: Vec<usize> =
+                        (0..node.shape.dim(0)).map(|j| j % classes.max(1)).collect();
+                    ptsim_tensor::ops::one_hot(&labels, classes)
+                } else {
+                    Ok(Tensor::randn(node.shape.clone(), seed.wrapping_add(i as u64)))
+                }
+            })
+            .collect()
+    }
+
     /// Total parameter element count.
     pub fn param_count(&self) -> usize {
         self.graph.parameters().iter().map(|&p| self.graph.node(p).shape.numel()).sum()

@@ -15,7 +15,6 @@ use ptsim_common::id::RequestIdGen;
 use ptsim_common::{CancelToken, Cycle, Error, RequestId, Result};
 use ptsim_dram::{DramSim, MemRequest};
 use ptsim_event::{CompletionSource, EventQueue, Scheduler, Step, WakeSet};
-use ptsim_funcsim::FuncSim;
 use ptsim_isa::program::Program;
 use ptsim_noc::{NocMessage, NocSim};
 use ptsim_obs::{BusyUnit, CounterHub, QueueSite};
@@ -57,19 +56,15 @@ pub enum Fidelity {
     #[default]
     Tls,
     /// Instruction-Level Simulation: every kernel's machine code is
-    /// re-executed per tile instance — timed on the core pipeline model
-    /// (the Gem5 role) *and* executed functionally, arithmetic included,
-    /// on the ISA interpreter (the Spike role) — plus a per-tile pipeline
-    /// restart/descriptor overhead. Slow by design: this is the
-    /// execution-driven comparator of Fig. 6 and the high-fidelity
-    /// reference of Fig. 5.
+    /// re-timed instruction by instruction on the core pipeline model (the
+    /// Gem5 role) per tile instance, plus a per-tile pipeline
+    /// restart/descriptor overhead. The high-fidelity reference of Fig. 5.
+    /// The engine only times; computing real outputs (the Spike role) is
+    /// `ptsim_compiler::exec::execute_functional`, which Fig. 6's ILS
+    /// column runs alongside this mode.
     Ils {
         /// Extra cycles per tile instance (pipeline refill between kernels).
         per_tile_overhead: u64,
-        /// Execute kernels functionally too (the Spike role). Required for
-        /// faithful wall-clock comparisons; timing-only studies can skip
-        /// it, since functional execution does not change simulated cycles.
-        functional: bool,
     },
 }
 
@@ -348,8 +343,6 @@ pub struct TogSim {
     queue: EventQueue<Event>,
     now: Cycle,
     timing: TimingSim,
-    /// Per-core functional machines for execution-driven ILS.
-    funcsims: Vec<Option<FuncSim>>,
     max_cycles: u64,
     /// Cores something happened to since the last issue pass.
     dirty: WakeSet,
@@ -410,7 +403,6 @@ impl TogSim {
             queue: EventQueue::new(),
             now: Cycle::ZERO,
             timing: TimingSim::new(&cfg.npu),
-            funcsims: (0..cfg.npu.cores).map(|_| None).collect(),
             max_cycles: u64::MAX / 4,
             dirty: WakeSet::new(cfg.npu.cores),
             stalled: vec![false; cfg.npu.cores],
@@ -834,7 +826,7 @@ impl TogSim {
                     ExecUnit::Vector => self.cores[core].vector_q.pop_front(),
                 };
                 let Some((job, node)) = head else { break };
-                let cycles = self.compute_cycles(job, node, core);
+                let cycles = self.compute_cycles(job, node);
                 if let Some(c) = &self.counters {
                     let FlatNodeKind::Compute { kernel, .. } = &self.jobs[job].tog.nodes[node].kind
                     else {
@@ -883,53 +875,25 @@ impl TogSim {
         progress
     }
 
-    fn compute_cycles(&mut self, job: usize, node: usize, core: usize) -> u64 {
-        let FlatNodeKind::Compute { kernel, cycles, args, .. } =
-            &self.jobs[job].tog.nodes[node].kind
+    fn compute_cycles(&self, job: usize, node: usize) -> u64 {
+        let FlatNodeKind::Compute { kernel, cycles, .. } = &self.jobs[job].tog.nodes[node].kind
         else {
             unreachable!("compute queue only holds compute nodes");
         };
         match self.fidelity {
             Fidelity::Tls => *cycles,
-            Fidelity::Ils { per_tile_overhead, functional } => {
+            Fidelity::Ils { per_tile_overhead } => {
                 if kernel == "barrier" {
                     return 0;
                 }
-                let Some(program) = self.jobs[job]
-                    .spec
-                    .kernels
-                    .as_ref()
-                    .and_then(|k| k.get(kernel.as_str()).cloned())
+                let Some(program) =
+                    self.jobs[job].spec.kernels.as_ref().and_then(|k| k.get(kernel.as_str()))
                 else {
                     return *cycles + per_tile_overhead;
                 };
                 // Gem5 role: time the machine code instruction by
                 // instruction for this instance.
-                let measured = self.timing.measure(&program).map(|l| l.cycles).unwrap_or(*cycles);
-                if !functional {
-                    return measured + per_tile_overhead;
-                }
-                // Spike role: execute it functionally, arithmetic included.
-                // This is exactly why ILS is slow — "all arithmetic
-                // operations have to be executed within the simulator"
-                // (§2.1). Architectural faults from running a tile kernel
-                // standalone (scratchpad contents are not staged in timing
-                // studies) are tolerated.
-                let machine = self.funcsims[core].get_or_insert_with(|| {
-                    let mut m = FuncSim::new(&self.cfg.npu);
-                    m.set_max_steps(u64::MAX / 2);
-                    m
-                });
-                if program.name.ends_with("_w0") {
-                    let _ = machine.preload_zero_weights();
-                }
-                for (i, reg) in [10u8, 11, 12, 13].iter().enumerate() {
-                    machine.set_reg(
-                        ptsim_isa::reg::Reg::new(*reg),
-                        args.get(i).copied().unwrap_or(0) as i64,
-                    );
-                }
-                let _ = machine.run(&program);
+                let measured = self.timing.measure(program).map(|l| l.cycles).unwrap_or(*cycles);
                 measured + per_tile_overhead
             }
         }
@@ -1403,8 +1367,8 @@ mod tests {
             sim.run().unwrap().total_cycles
         };
         let ils = {
-            let mut sim = TogSim::new(&cfg())
-                .with_fidelity(Fidelity::Ils { per_tile_overhead: 40, functional: false });
+            let mut sim =
+                TogSim::new(&cfg()).with_fidelity(Fidelity::Ils { per_tile_overhead: 40 });
             sim.add_job(tog, JobSpec::default());
             sim.run().unwrap().total_cycles
         };

@@ -19,6 +19,7 @@
 //! placement is what matters.
 
 use crate::event::{EventData, Lane, TraceEvent, Track};
+use ptsim_common::json::escape;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -45,25 +46,6 @@ pub struct CounterTrack {
     pub name: String,
     /// `(timestamp, value)` samples in non-decreasing timestamp order.
     pub points: Vec<(u64, f64)>,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `(pid, tid-as-json)` pair for a track.
@@ -115,7 +97,7 @@ fn args_json(ev: &TraceEvent) -> String {
             let _ = write!(
                 args,
                 ",\"tenant\":{tenant},\"model\":\"{}\",\"batch\":{batch}",
-                json_escape(model)
+                escape(model)
             );
         }
         EventData::AllReduce { bytes, .. } => {
@@ -166,7 +148,7 @@ pub fn export_chrome_trace_with_counters(
     let mut next_async_id: u64 = 1;
     for ev in events {
         let (pid, tid) = track_ids(ev.track);
-        let name = json_escape(&ev.name());
+        let name = escape(&ev.name());
         let cat = ev.category();
         let args = args_json(ev);
         if ev.is_span() && is_async_span(ev) {
@@ -213,7 +195,7 @@ pub fn export_chrome_trace_with_counters(
         }
     }
     for track in counters {
-        let name = json_escape(&track.name);
+        let name = escape(&track.name);
         for &(ts, value) in &track.points {
             push(
                 &mut records,
@@ -264,12 +246,6 @@ mod tests {
     #[test]
     fn empty_trace_is_empty_array() {
         assert_eq!(export_chrome_trace(&[]), "[]");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -450,24 +450,12 @@ impl MetricsRegistry {
     /// become `{count, sum, mean, p50, p95, p99}` objects. Hand-rendered
     /// so machine-readable reports need no serialization dependency.
     pub fn json(&self) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::from("{");
         for (i, (name, value)) in self.snapshot().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":", escape(name)));
+            out.push_str(&format!("\"{}\":", ptsim_common::json::escape(name)));
             match value {
                 MetricValue::Counter(v) | MetricValue::Gauge(v) => out.push_str(&v.to_string()),
                 MetricValue::Histogram { count, sum, mean, p50, p95, p99 } => {

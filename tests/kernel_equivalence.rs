@@ -34,14 +34,6 @@ fn workloads() -> Vec<ModelSpec> {
     ]
 }
 
-fn fidelities() -> [(&'static str, RunOptions); 3] {
-    [
-        ("tls", RunOptions::tls()),
-        ("ils", RunOptions::ils()),
-        ("ils_timing", RunOptions::ils_timing()),
-    ]
-}
-
 /// Runs one compiled workload through the given backend and returns its
 /// report.
 fn run_backend(
@@ -63,7 +55,7 @@ fn run_backend(
 fn every_backend_is_bit_identical_at_every_fidelity() {
     let sim = Simulator::new(SimConfig::tiny());
     for spec in workloads() {
-        for (name, opts) in fidelities() {
+        for (name, opts) in [("tls", RunOptions::tls()), ("ils", RunOptions::ils())] {
             let serial = run_backend(&sim, &spec, &opts, ExecutionBackend::Serial);
             let reference = run_backend(&sim, &spec, &opts, ExecutionBackend::Reference);
             assert_eq!(serial, reference, "{} diverges at {name}", spec.name);
@@ -161,7 +153,7 @@ fn sweep_reports_are_bit_identical_across_worker_counts() {
         sweep.push(
             SweepPoint::model(models::gemm(48), cn)
                 .with_label("gemm48_ils")
-                .with_run(RunOptions::ils_timing()),
+                .with_run(RunOptions::ils()),
         );
         sweep
     };

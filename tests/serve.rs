@@ -118,10 +118,10 @@ fn graceful_shutdown_completes_every_admitted_request() {
     let handle = start(ServeConfig { workers: 2, ..ServeConfig::default() }).unwrap();
     let addr = handle.addr();
 
-    // Slow-ish work (instruction-level timing fidelity) so requests are
+    // Slow-ish work (instruction-level fidelity) so requests are
     // still in flight when the drain starts.
     let bodies: Vec<String> = (0..6)
-        .map(|i| tiny_spec(16 + 8 * i).with_fidelity(FidelitySpec::IlsTiming).canonical_json())
+        .map(|i| tiny_spec(16 + 8 * i).with_fidelity(FidelitySpec::Ils).canonical_json())
         .collect();
 
     let mut responses = Vec::new();
@@ -169,11 +169,9 @@ fn admission_queue_overflow_yields_429() {
     let addr = handle.addr();
 
     // Blocker: a sweep of slow points occupies the single worker for a
-    // while (instruction-level timing fidelity, many points, one job).
+    // while (instruction-level fidelity, many points, one job).
     let blocker_points: Vec<String> = (0..48)
-        .map(|i| {
-            tiny_spec(96 + 8 * (i % 12)).with_fidelity(FidelitySpec::IlsTiming).canonical_json()
-        })
+        .map(|i| tiny_spec(96 + 8 * (i % 12)).with_fidelity(FidelitySpec::Ils).canonical_json())
         .collect();
     let blocker = format!("{{\"points\":[{}]}}", blocker_points.join(","));
 
@@ -337,12 +335,12 @@ fn mid_run_deadline_expiry_returns_503_promptly() {
     .unwrap();
     let mut client = HttpClient::new(handle.addr());
 
-    // Fast compile (milliseconds), long simulation (seconds at
-    // instruction-level timing even in release — gemm-512 measures ~2.4 s
-    // in `examples/cancel_probe.rs`): the deadline expires deep inside the
+    // Fast compile (milliseconds), long simulation (instruction-level
+    // fidelity even in release — gemm-512 measures ~0.85 s in
+    // `examples/cancel_probe.rs`): the deadline expires deep inside the
     // engine, where only the scheduler's bounded-interval poll sites can
     // observe it.
-    let body = tiny_spec(512).with_fidelity(FidelitySpec::IlsTiming).canonical_json();
+    let body = tiny_spec(512).with_fidelity(FidelitySpec::Ils).canonical_json();
     let t0 = Instant::now();
     let resp = client.post("/v1/simulate", &body).unwrap();
     let elapsed = t0.elapsed();
@@ -380,9 +378,7 @@ fn shutdown_grace_cancels_stuck_runs_and_strands_no_followers() {
     // A sweep long enough (several seconds of instruction-level timing)
     // that it is always still mid-run when the grace period expires.
     let points: Vec<String> = (0..16)
-        .map(|i| {
-            tiny_spec(192 + 8 * (i % 8)).with_fidelity(FidelitySpec::IlsTiming).canonical_json()
-        })
+        .map(|i| tiny_spec(192 + 8 * (i % 8)).with_fidelity(FidelitySpec::Ils).canonical_json())
         .collect();
     let body = format!("{{\"points\":[{}]}}", points.join(","));
 
