@@ -21,6 +21,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,14 +189,15 @@ impl Json {
 }
 
 fn render_num(n: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional fallback.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // Rust's shortest round-trip float formatting.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -217,17 +219,27 @@ pub fn escape(s: &str) -> String {
 }
 
 fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every character that needs escaping is ASCII, so scanning bytes finds
+    // them, and the runs in between are copied as whole slices.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Renders a type as a [`Json`] document.
@@ -297,13 +309,14 @@ impl FromJson for HashMap<u32, u64> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { src: s, bytes: s.as_bytes(), pos: 0 }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -375,47 +388,41 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash as one
+            // slice: both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..].iter().position(|&b| matches!(b, b'"' | b'\\'));
+            let Some(run) = run else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            // The run stopped at a quote (done) or a backslash (an escape).
+            if self.bump() == Some(b'"') {
+                return Ok(out);
+            }
             match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err(self.err("truncated \\u escape"));
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                        let cp =
-                            u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-                        self.pos += 4;
-                        // Surrogates are not produced by our writers.
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    if self.pos + 4 > self.bytes.len() {
+                        return Err(self.err("truncated \\u escape"));
                     }
-                    _ => return Err(self.err("bad escape")),
-                },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(c) => {
-                    // Re-decode the multi-byte UTF-8 sequence.
-                    let len = match c {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("bad utf-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                    let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                        .map_err(|_| self.err("bad \\u escape"))?;
+                    let cp =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogates are not produced by our writers.
+                    out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                 }
+                _ => return Err(self.err("bad escape")),
             }
         }
     }
@@ -495,6 +502,19 @@ mod tests {
     }
 
     #[test]
+    fn strings_mixing_plain_runs_escapes_and_multibyte_round_trip() {
+        for s in ["", "plain", "é→✓ 🚀", "a\"b\\c\nd\re\tf\u{1}g\u{1f}", "\"", "end\\", "ü\u{7}ü"]
+        {
+            let text = Json::str(s).render();
+            assert_eq!(parse_json(&text).unwrap(), Json::str(s), "{text}");
+        }
+        assert_eq!(Json::str("é\u{1}ü\"").render(), "\"é\\u0001ü\\\"\"");
+        assert_eq!(parse_json(r#""aééb\/c""#).unwrap(), Json::str("aééb/c"));
+        assert!(parse_json(r#""abc"#).unwrap_err().contains("unterminated"));
+        assert!(parse_json(r#""a\qb""#).unwrap_err().contains("bad escape"));
+    }
+
+    #[test]
     fn parser_rejects_garbage() {
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
@@ -519,6 +539,8 @@ mod tests {
         assert_eq!(Json::Num(940.0).render(), "940");
         assert_eq!(Json::Num(940.5).render(), "940.5");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+        assert_eq!(Json::Num(-0.125).render(), "-0.125");
+        assert_eq!(Json::Num(1e300).render(), format!("{}", 1e300));
     }
 
     #[test]

@@ -430,7 +430,9 @@ impl RunSpec {
     ///
     /// Simulation is deterministic, so equal fingerprints (confirmed by an
     /// equal canonical rendering, which callers that cannot tolerate hash
-    /// collisions should compare) imply equal [`SimReport`]s.
+    /// collisions should compare) imply equal [`SimReport`]s. This renders
+    /// the canonical JSON again; a caller already holding it gets the same
+    /// value from `fnv1a(canon.as_bytes())`.
     pub fn fingerprint(&self) -> u64 {
         ptsim_common::fingerprint::fnv1a(self.canonical_json().as_bytes())
     }
@@ -786,6 +788,75 @@ mod tests {
         assert!(!legacy.canonical_json().contains("ils_timing"));
         let err = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"slow"}}"#)).unwrap_err();
         assert!(err.contains(r#"expected "tls" or "ils""#), "{err}");
+    }
+
+    /// `ptsim-serve` answers a request from its bytes alone when they equal
+    /// a cached canonical rendering. That is sound because the canonical
+    /// form is a fixpoint of parse → render, its FNV-1a is the fingerprint,
+    /// and every legacy spelling of a spec renders to the same canon.
+    #[test]
+    fn canonical_json_is_a_parse_fixpoint_keyed_by_its_own_fnv() {
+        use ptsim_common::fingerprint::fnv1a;
+        use ptsim_common::json::parse_json;
+        let models = [
+            ModelRequest::Gemm { n: 32 },
+            ModelRequest::GemmRect { m: 16, k: 32, n: 48 },
+            ModelRequest::Mlp { batch: 4, hidden: 48 },
+            ModelRequest::Conv { batch: 1, channels: 8, hw: 14 },
+            ModelRequest::LayerNorm { rows: 8, cols: 64 },
+            ModelRequest::Softmax { rows: 16, cols: 96 },
+            ModelRequest::Bert {
+                seq: 16,
+                batch: 1,
+                hidden: 32,
+                layers: 1,
+                heads: 2,
+                intermediate: 64,
+            },
+        ];
+        let reparse = |wire: &str| {
+            let v = parse_json(wire).unwrap_or_else(|e| panic!("{e}: {wire}"));
+            RunSpec::parse_wire(&v).unwrap_or_else(|e| panic!("{e}: {wire}")).canonical_json()
+        };
+        let mut cases = 0;
+        for model in models {
+            for config in [SimConfig::tiny(), SimConfig::default(), SimConfig::tpu_v3()] {
+                for fidelity in [FidelitySpec::Tls, FidelitySpec::Ils] {
+                    for profile in [false, true] {
+                        for max_cycles in [None, Some(1_000_000)] {
+                            let spec = RunSpec {
+                                max_cycles,
+                                ..RunSpec::new(model)
+                                    .with_config(config.clone())
+                                    .with_fidelity(fidelity)
+                                    .with_profile(profile)
+                            };
+                            let canon = spec.canonical_json();
+                            assert_eq!(reparse(&canon), canon);
+                            assert_eq!(fnv1a(canon.as_bytes()), spec.fingerprint(), "{canon}");
+                            // No string in a spec holds a quote, so `,"` and
+                            // `":` only occur between tokens.
+                            let spaced = canon.replace(",\"", ",\n\t\"").replace("\":", "\" : ");
+                            assert_eq!(reparse(&format!(" {spaced}\n")), canon);
+                            if fidelity == FidelitySpec::Ils {
+                                let legacy = canon.replace(r#""ils""#, r#""ils_timing""#);
+                                assert_ne!(legacy, canon);
+                                assert_eq!(reparse(&legacy), canon);
+                            }
+                            if !profile {
+                                let v1 = canon
+                                    .replace(r#""v":2,"#, "")
+                                    .replace(r#","backend":"serial""#, "");
+                                assert!(!v1.contains(r#""v":"#) && !v1.contains("backend"), "{v1}");
+                                assert_eq!(reparse(&v1), canon);
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 7 * 3 * 2 * 2 * 2);
     }
 
     #[test]

@@ -68,14 +68,17 @@ impl HttpClient {
     ) -> Result<HttpResponse, String> {
         let reader = self.connect()?;
         let payload = body.unwrap_or("");
-        let head = format!(
+        // Head and body in one write: on a `TCP_NODELAY` socket two writes
+        // are two segments, and the server would wake for the head only to
+        // block again for the body.
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nhost: ptsim\r\ncontent-length: {}\r\n\r\n",
             payload.len()
         );
+        request.push_str(payload);
         let stream = reader.get_mut();
         stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(payload.as_bytes()))
+            .write_all(request.as_bytes())
             .and_then(|()| stream.flush())
             .map_err(|e| format!("send: {e}"))?;
         read_response(reader)

@@ -4,8 +4,11 @@
 //!
 //! ```text
 //!  accept thread ──► connection threads (one per TCP conn, keep-alive)
-//!                        │  parse HTTP → RunSpec
-//!                        │  result cache?  ──hit──► respond
+//!                        │  read HTTP request
+//!                        │  result cache[fnv1a(body)]?  ──hit──► respond
+//!                        │  parse JSON → RunSpec → canonical JSON (once)
+//!                        │  result cache[fnv1a(canon)]? ──hit──► respond
+//!                        │    (skipped when canon == body: it just missed)
 //!                        │  coalesce (InflightMap): leader | follower
 //!                        ▼  leader only
 //!                   bounded JobQueue  ──full──► 429
@@ -35,6 +38,7 @@
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::inflight::{InflightMap, Join, Outcome};
 use crate::rescache::ResultCache;
+use ptsim_common::fingerprint::fnv1a;
 use ptsim_common::json::{Json, ToJson};
 use ptsim_common::{CancelToken, Error};
 use ptsim_trace::MetricsRegistry;
@@ -544,11 +548,24 @@ fn respond(outcome: Outcome, cache: &str) -> Response {
     }
 }
 
+fn cache_hit(state: &Arc<State>, cached: String) -> Response {
+    state.metrics.counter("serve.result_cache.hits").inc();
+    Response::json(200, cached).with_header("x-ptsim-cache", "hit")
+}
+
 fn simulate(req: &Request, state: &Arc<State>) -> Response {
     let body = match req.body_str() {
         Ok(b) => b,
         Err(e) => return Response::error(400, &e),
     };
+    // Every in-repo client sends the canonical form, so the request bytes
+    // are the cache key. The lookup compares the full canonical text, so
+    // only a body byte-equal to a spec that already ran is answered here;
+    // a hash collision can only cost a miss.
+    let raw_fp = fnv1a(body.as_bytes());
+    if let Some(cached) = state.results.probe(raw_fp, body) {
+        return cache_hit(state, cached);
+    }
     let parsed = match ptsim_common::json::parse_json(body) {
         Ok(v) => v,
         Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
@@ -562,11 +579,14 @@ fn simulate(req: &Request, state: &Arc<State>) -> Response {
         Err(e) => return Response::error(400, &format!("bad RunSpec: {e}")),
     };
     let canon = spec.canonical_json();
-    let fingerprint = spec.fingerprint();
-    if let Some(cached) = state.results.get(fingerprint, &canon) {
-        state.metrics.counter("serve.result_cache.hits").inc();
-        return Response::json(200, cached).with_header("x-ptsim-cache", "hit");
+    let fingerprint = fnv1a(canon.as_bytes());
+    // A canonical body already missed on these very bytes; any other
+    // spelling gets one lookup under the canonical key.
+    let cached = if canon == body { None } else { state.results.probe(fingerprint, &canon) };
+    if let Some(cached) = cached {
+        return cache_hit(state, cached);
     }
+    state.results.count_miss();
     state.metrics.counter("serve.result_cache.misses").inc();
     match state.inflight.join(&canon) {
         Join::Leader(slot) => {

@@ -7,7 +7,7 @@
 //! exactly-once and zero-drop assertions.
 
 use ptsim_common::config::SimConfig;
-use ptsim_common::json::{parse_json, FromJson};
+use ptsim_common::json::{parse_json, FromJson, Json};
 use ptsim_serve::client::HttpClient;
 use ptsim_serve::server::{start, ServeConfig, ServerHandle};
 use ptsim_togsim::SimReport;
@@ -115,23 +115,39 @@ fn concurrent_identical_and_distinct_requests_compile_once_and_match_direct_runs
 
 #[test]
 fn graceful_shutdown_completes_every_admitted_request() {
-    let handle = start(ServeConfig { workers: 2, ..ServeConfig::default() }).unwrap();
+    // A grace period far beyond any run here: this test is about draining,
+    // not about cancelling (see `shutdown_grace_cancels_...`).
+    let handle =
+        start(ServeConfig { workers: 2, shutdown_grace_ms: 120_000, ..ServeConfig::default() })
+            .unwrap();
     let addr = handle.addr();
 
-    // Slow-ish work (instruction-level fidelity) so requests are
-    // still in flight when the drain starts.
-    let bodies: Vec<String> = (0..6)
-        .map(|i| tiny_spec(16 + 8 * i).with_fidelity(FidelitySpec::Ils).canonical_json())
-        .collect();
+    // One long run (ILS gemm-384: ~0.2 s in release, ~1.3 s in debug)
+    // holds one worker while quick TLS runs pass through the other, so a
+    // run is still executing when the drain starts. The waits below are on
+    // monotonic counters, never on a gauge a short run can flip and unflip
+    // between two polls.
+    let long = tiny_spec(384).with_fidelity(FidelitySpec::Ils).canonical_json();
+    let quick: Vec<String> = (0..5).map(|i| tiny_spec(16 + 8 * i).canonical_json()).collect();
 
     let mut responses = Vec::new();
+    let mut runs_done_at_drain = 0;
     std::thread::scope(|s| {
-        let posts: Vec<_> = bodies
-            .iter()
-            .map(|body| s.spawn(move || HttpClient::new(addr).post("/v1/simulate", body).unwrap()))
-            .collect();
-        // Wait until the worker pool is actually executing, then drain.
-        wait_until("a request to go in flight", || metric(&handle, "serve.inflight") > 0);
+        let mut posts =
+            vec![s.spawn(|| HttpClient::new(addr).post("/v1/simulate", &long).unwrap())];
+        wait_until("the long run to be admitted", || {
+            metric(&handle, "serve.result_cache.misses") >= 1
+        });
+        posts.extend(quick.iter().map(|body| {
+            s.spawn(move || HttpClient::new(addr).post("/v1/simulate", body).unwrap())
+        }));
+        // Every connection accepted and parsed before the listener stops.
+        let all = 1 + quick.len() as u64;
+        wait_until("every request to be read", || {
+            metric(&handle, "serve.result_cache.misses") >= all
+        });
+        wait_until("a quick run to finish", || metric(&handle, "serve.simulate.run_us") >= 1);
+        runs_done_at_drain = metric(&handle, "serve.simulate.run_us");
         let shut = HttpClient::new(addr).post("/admin/shutdown", "").unwrap();
         assert_eq!(shut.status, 200);
         responses.extend(posts.into_iter().map(|h| h.join().unwrap()));
@@ -152,6 +168,11 @@ fn graceful_shutdown_completes_every_admitted_request() {
         }
     }
     assert!(completed > 0, "at least the in-flight request must complete");
+    assert!(
+        completed > runs_done_at_drain,
+        "the drain must wait for runs still executing ({completed} completed, \
+         {runs_done_at_drain} done before the drain)"
+    );
     // join() returning proves the drain terminated: accept loop closed,
     // queue ran dry, every worker exited.
     handle.join();
@@ -538,6 +559,66 @@ fn result_cache_turns_repeats_into_hits() {
     assert_eq!(second.header("x-ptsim-cache"), Some("hit"));
     assert_eq!(first.body, second.body, "cached body is byte-identical");
     assert_eq!(handle.compile_cache().stats().compiles, 1);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A cached spec is answered whichever way it is spelled: its canonical
+/// text takes the raw-bytes fast path, any other spelling the parse path,
+/// and both return the body of the run byte for byte. Each request counts
+/// exactly one hit or one miss; rejected requests count neither.
+#[test]
+fn cached_specs_hit_in_every_spelling_and_count_once() {
+    let handle = start(ServeConfig::default()).unwrap();
+    let mut client = HttpClient::new(handle.addr());
+    let counted = || {
+        metric(&handle, "serve.result_cache.hits") + metric(&handle, "serve.result_cache.misses")
+    };
+
+    let canon = tiny_spec(28).canonical_json();
+    let first = client.post("/v1/simulate", &canon).unwrap();
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(first.header("x-ptsim-cache"), Some("miss"));
+
+    // No string in a spec holds a quote, so `,"` and `":` only occur
+    // between tokens.
+    let spaced = format!(" {}\n", canon.replace(",\"", ",\n  \"").replace("\":", "\" : "));
+    let Json::Obj(mut fields) = parse_json(&canon).unwrap() else { panic!("not an object") };
+    fields.reverse();
+    let reordered = Json::Obj(fields).render();
+    let v1 = canon.replace("\"v\":2,", "").replace(",\"backend\":\"serial\"", "");
+    for (spelling, body) in
+        [("canonical", &canon), ("whitespace", &spaced), ("reordered", &reordered), ("v1", &v1)]
+    {
+        assert!(spelling == "canonical" || *body != canon, "{spelling} is the canonical text");
+        let resp = client.post("/v1/simulate", body).unwrap();
+        assert_eq!(resp.status, 200, "{spelling}: {}", resp.body);
+        assert_eq!(resp.header("x-ptsim-cache"), Some("hit"), "{spelling}");
+        assert_eq!(resp.body, first.body, "{spelling}: body differs from the fresh run");
+    }
+    assert_eq!(metric(&handle, "serve.result_cache.hits"), 4);
+    assert_eq!(counted(), 5, "one hit or one miss per request");
+
+    // Rejections still happen, and are neither hits nor misses.
+    let schema_before = metric(&handle, "serve.rejected.schema");
+    let v9 = canon.replace("\"v\":2", "\"v\":9");
+    let resp = client.post("/v1/simulate", &v9).unwrap();
+    assert_eq!(resp.status, 400, "body: {}", resp.body);
+    assert!(resp.body.contains("unsupported schema"), "body: {}", resp.body);
+    assert_eq!(metric(&handle, "serve.rejected.schema"), schema_before + 1);
+    assert_eq!(client.post("/v1/simulate", &canon[1..]).unwrap().status, 400);
+    assert_eq!(counted(), 5);
+
+    // A cached profiled spec keeps its profile block on the fast path.
+    let profiled = tiny_spec(28).with_profile(true).canonical_json();
+    let fresh = client.post("/v1/simulate", &profiled).unwrap();
+    let cached = client.post("/v1/simulate", &profiled).unwrap();
+    assert_eq!(fresh.header("x-ptsim-cache"), Some("miss"));
+    assert_eq!(cached.header("x-ptsim-cache"), Some("hit"));
+    assert_eq!(cached.body, fresh.body);
+    assert!(parse_json(&cached.body).unwrap().get("profile").is_some(), "{}", cached.body);
+    assert_eq!(counted(), 7);
 
     handle.shutdown();
     handle.join();
