@@ -253,14 +253,8 @@ pub fn run_tenancy(scale: Scale, jobs: usize) -> TenancyResult {
         "co-located",
         full,
         [
-            (
-                bert_spec,
-                JobSpec { core_offset: 0, cores: 1, tag: 0, start_at: Cycle::ZERO, kernels: None },
-            ),
-            (
-                resnet_spec,
-                JobSpec { core_offset: 1, cores: 1, tag: 1, start_at: Cycle::ZERO, kernels: None },
-            ),
+            (bert_spec, JobSpec { core_offset: 0, cores: 1, tag: 0, start_at: Cycle::ZERO }),
+            (resnet_spec, JobSpec { core_offset: 1, cores: 1, tag: 1, start_at: Cycle::ZERO }),
         ],
     ));
     let report = sweep.run(&SweepOptions::with_jobs(jobs)).expect("tenancy sweep succeeds");

@@ -329,7 +329,6 @@ fn kernel_equivalence(case: &CheckCase) -> Result<(), String> {
                 cores: job.cores,
                 tag: job.tenant.raw(),
                 start_at: job.start_at,
-                kernels: None,
             },
         ));
     }

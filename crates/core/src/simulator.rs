@@ -29,10 +29,6 @@ use ptsim_tensor::Tensor;
 use ptsim_togsim::{ExecutionBackend, Fidelity, JobSpec, SimReport, TogSim};
 use std::sync::Arc;
 
-/// Default per-tile pipeline-restart overhead of the ILS fidelity mode,
-/// cycles (the descriptor/refill cost between tile kernels).
-pub const ILS_PER_TILE_OVERHEAD: u64 = 24;
-
 /// Per-run configuration of [`Simulator::run`]: fidelity, tracing, and the
 /// simulation safety limit, in one vocabulary shared by the inference,
 /// training, and cluster facades.
@@ -69,16 +65,13 @@ impl RunOptions {
         RunOptions::default()
     }
 
-    /// Instruction-level fidelity: every tile kernel's machine code is
-    /// re-timed on the core pipeline model per tile instance (the
-    /// high-fidelity reference of Fig. 5). It only times; real outputs
-    /// come from [`Simulator::execute`] / `execute_functional`, which
-    /// Fig. 6's ILS column runs alongside it.
+    /// Instruction-level fidelity, Fig. 5's reference: every compute node
+    /// costs its kernel's offline-measured latency plus
+    /// [`ptsim_togsim::ILS_PER_TILE_OVERHEAD`] (see [`Fidelity::Ils`]). It
+    /// only times; real outputs come from [`Simulator::execute`] /
+    /// `execute_functional`, which Fig. 6's ILS column runs alongside it.
     pub fn ils() -> Self {
-        RunOptions {
-            fidelity: Fidelity::Ils { per_tile_overhead: ILS_PER_TILE_OVERHEAD },
-            ..RunOptions::default()
-        }
+        RunOptions { fidelity: Fidelity::Ils, ..RunOptions::default() }
     }
 
     /// Selects an explicit fidelity.
@@ -138,12 +131,6 @@ impl RunOptions {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// Whether this run needs kernel programs attached (ILS re-times
-    /// machine code).
-    pub fn needs_kernels(&self) -> bool {
-        matches!(self.fidelity, Fidelity::Ils { .. })
     }
 }
 
@@ -333,9 +320,8 @@ impl Simulator {
     /// configuration, or an error if simulation fails.
     pub fn run_compiled(&self, model: &CompiledModel, opts: &RunOptions) -> Result<SimReport> {
         self.cfg.validate()?;
-        let kernels = opts.needs_kernels().then(|| Arc::new(model.kernels.clone()));
         let mut sim = self.new_togsim(opts);
-        sim.add_shared_job(Arc::new(model.tog.clone()), JobSpec { kernels, ..JobSpec::default() });
+        sim.add_shared_job(Arc::new(model.tog.clone()), JobSpec::default());
         sim.run_with(opts.backend)
     }
 
@@ -365,7 +351,6 @@ impl Simulator {
                     cores: *cores,
                     tag: *tag,
                     start_at: *start_at,
-                    kernels: None,
                 },
             );
         }

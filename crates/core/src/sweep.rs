@@ -189,11 +189,7 @@ impl SweepPoint {
             match &job.source {
                 JobSource::Spec(spec) => {
                     let model = sim.compile_with_cancel(spec, run.cancel.as_ref())?;
-                    let mut placement = job.placement.clone();
-                    if run.needs_kernels() && placement.kernels.is_none() {
-                        placement.kernels = Some(Arc::new(model.kernels.clone()));
-                    }
-                    togsim.add_shared_job(Arc::new(model.tog.clone()), placement);
+                    togsim.add_shared_job(Arc::new(model.tog.clone()), job.placement.clone());
                 }
                 JobSource::Tog(tog) => {
                     togsim.add_shared_job(Arc::clone(tog), job.placement.clone());

@@ -6,9 +6,9 @@
 //! DRAM — are modelled *online* with the cycle-accurate [`ptsim_noc`] and
 //! [`ptsim_dram`] simulators, exactly the paper's split. Multiple TOGs can
 //! run concurrently on (partitions of) a multi-core NPU for multi-model
-//! tenancy studies (§5.2), and an instruction-level fidelity mode re-executes
-//! every kernel's machine code per tile instance, serving as the slow ILS
-//! comparator of Fig. 6 and the high-fidelity reference for Fig. 5.
+//! tenancy studies (§5.2). The instruction-level fidelity mode charges each
+//! compute node its kernel's latency plus a fixed per-tile overhead; it is
+//! Fig. 5's reference and the timing half of Fig. 6's ILS column.
 //!
 //! # Examples
 //!
@@ -35,5 +35,5 @@ pub mod engine;
 pub mod report;
 
 pub use cache::{CacheStats, L1Cache};
-pub use engine::{ExecutionBackend, Fidelity, JobId, JobSpec, TogSim};
+pub use engine::{ExecutionBackend, Fidelity, JobId, JobSpec, TogSim, ILS_PER_TILE_OVERHEAD};
 pub use report::{JobReport, SimReport};

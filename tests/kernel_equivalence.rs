@@ -43,11 +43,9 @@ fn run_backend(
     backend: ExecutionBackend,
 ) -> SimReport {
     let model = sim.compile(spec).expect("workload compiles");
-    let kernels = opts.needs_kernels().then(|| Arc::new(model.kernels.clone()));
-    let job = JobSpec { kernels, ..JobSpec::default() };
 
     let mut togsim = TogSim::new(sim.config()).with_fidelity(opts.fidelity);
-    togsim.add_shared_job(Arc::new(model.tog.clone()), job);
+    togsim.add_shared_job(Arc::new(model.tog.clone()), JobSpec::default());
     togsim.run_with(backend).expect("backend run")
 }
 
@@ -86,13 +84,11 @@ fn run_backend_counted(
     backend: ExecutionBackend,
 ) -> (SimReport, String) {
     let model = sim.compile(spec).expect("workload compiles");
-    let kernels = opts.needs_kernels().then(|| Arc::new(model.kernels.clone()));
-    let job = JobSpec { kernels, ..JobSpec::default() };
 
     let hub = CounterHub::shared(CounterConfig::default());
     let mut togsim = TogSim::new(sim.config()).with_fidelity(opts.fidelity);
     togsim.set_counters(Arc::clone(&hub));
-    togsim.add_shared_job(Arc::new(model.tog.clone()), job);
+    togsim.add_shared_job(Arc::new(model.tog.clone()), JobSpec::default());
     let report = togsim.run_with(backend).expect("backend run");
     (report, hub.to_json().render())
 }
