@@ -6,7 +6,7 @@
 //! - **Differential**: two implementations that must agree — the event
 //!   engine vs the legacy reference loop (bit-identity), the functional
 //!   NPU path vs the eager interpreter (numerics), serial vs parallel
-//!   sweeps (bit-identity).
+//!   sweeps and warm-cache vs fresh compiles (bit-identity).
 //! - **Metamorphic**: a relation between two runs when the input changes in
 //!   a known direction — more DRAM channels or NoC bandwidth never makes a
 //!   workload meaningfully slower (a small documented slack absorbs
@@ -53,7 +53,7 @@ pub const ORACLES: &[Oracle] = &[
     Oracle { name: "load_generation", run: load_generation },
     Oracle { name: "trace_validation", run: trace_validation },
     Oracle { name: "kernel_equivalence", run: kernel_equivalence },
-    Oracle { name: "staged_vs_monolithic", run: staged_vs_monolithic },
+    Oracle { name: "cached_vs_fresh", run: cached_vs_fresh },
     Oracle { name: "sweep_determinism", run: sweep_determinism },
     Oracle { name: "max_cycles_clamp", run: max_cycles_clamp },
     Oracle { name: "cancel_consistency", run: cancel_consistency },
@@ -344,54 +344,67 @@ fn kernel_equivalence(case: &CheckCase) -> Result<(), String> {
     Ok(())
 }
 
-/// The staged artifact pipeline (capture → plan → measure kernels → emit)
-/// must produce models bit-identical to the legacy monolithic single-pass
-/// lowering, with and without autotuning (odd seeds turn autotune on, so
-/// the plan stage's DRAM-bandwidth read and probe replay are exercised).
-fn staged_vs_monolithic(case: &CheckCase) -> Result<(), String> {
-    use pytorchsim::compiler::{Compiler, CompilerOptions};
+/// A compile served from a warm [`CompileCache`] must equal a fresh one.
+/// The workload is first compiled at a config differing only in DRAM, then
+/// at `case.cfg` through the same cache, so the plan and kernel stages (and,
+/// without autotuning, the whole model) hit. The result must match
+/// `Compiler::compile` on a private store in every field except
+/// `timing_measurements`, which counts store misses and drops on a warm
+/// store. Odd seeds turn autotune on, so the plan stage's DRAM-bandwidth
+/// read and probe replay are exercised.
+fn cached_vs_fresh(case: &CheckCase) -> Result<(), String> {
+    use pytorchsim::compiler::{CompileStats, Compiler, CompilerOptions};
     let spec = case.workload.spec();
     let opts = CompilerOptions { autotune: case.seed % 2 == 1, ..CompilerOptions::default() };
-    let compiler = Compiler::new(case.cfg.clone(), opts);
-    let staged = no_panic("staged compile", || compiler.compile(&spec.graph, &spec.name, 1))?;
-    let mono =
-        no_panic("monolithic compile", || compiler.compile_monolithic(&spec.graph, &spec.name, 1))?;
-    let (staged, mono) = match (staged, mono) {
-        (Ok(s), Ok(m)) => (s, m),
-        (Err(se), Err(me)) => {
-            let (se, me) = (se.to_string(), me.to_string());
-            if se == me {
+    let cache = CompileCache::shared();
+    let compile_cached = |cfg: SimConfig| {
+        no_panic("cached compile", || cache.compile_spec(&Compiler::new(cfg, opts.clone()), &spec))
+    };
+    let mut warmup = case.cfg.clone();
+    warmup.dram.channels *= 2;
+    // A failed warm-up caches nothing; the compile at `case.cfg` reports it.
+    let _ = compile_cached(warmup)?;
+    let cached = compile_cached(case.cfg.clone())?;
+    let fresh = no_panic("fresh compile", || {
+        Compiler::new(case.cfg.clone(), opts.clone()).compile(&spec.graph, &spec.name, 1)
+    })?;
+    let (cached, fresh) = match (cached, fresh) {
+        (Ok(c), Ok(f)) => (c, f),
+        (Err(ce), Err(fe)) => {
+            let (ce, fe) = (ce.to_string(), fe.to_string());
+            if ce == fe {
                 return Ok(()); // agree on the rejection
             }
-            return Err(format!("paths reject differently: staged {se:?} vs monolithic {me:?}"));
+            return Err(format!("compiles reject differently: cached {ce:?} vs fresh {fe:?}"));
         }
-        (Ok(_), Err(e)) => return Err(format!("only monolithic failed: {e}")),
-        (Err(e), Ok(_)) => return Err(format!("only staged failed: {e}")),
+        (Ok(_), Err(e)) => return Err(format!("only the fresh compile failed: {e}")),
+        (Err(e), Ok(_)) => return Err(format!("only the cached compile failed: {e}")),
     };
-    if staged.tog != mono.tog {
+    if cached.tog != fresh.tog {
         return Err(format!(
-            "TOGs diverge: staged {} nodes vs monolithic {}",
-            staged.tog.nodes.len(),
-            mono.tog.nodes.len()
+            "TOGs diverge: cached {} nodes vs fresh {}",
+            cached.tog.nodes.len(),
+            fresh.tog.nodes.len()
         ));
     }
-    if staged.kernels != mono.kernels {
-        let mut s: Vec<&String> = staged.kernels.keys().collect();
-        let mut m: Vec<&String> = mono.kernels.keys().collect();
-        s.sort();
-        m.sort();
-        return Err(format!("kernel sets diverge: staged {s:?} vs monolithic {m:?}"));
+    if cached.kernels != fresh.kernels {
+        let mut c: Vec<&String> = cached.kernels.keys().collect();
+        let mut f: Vec<&String> = fresh.kernels.keys().collect();
+        c.sort();
+        f.sort();
+        return Err(format!("kernel sets diverge: cached {c:?} vs fresh {f:?}"));
     }
-    if staged.layout != mono.layout {
+    if cached.layout != fresh.layout {
         return Err("memory layouts diverge".into());
     }
-    if staged.op_plans != mono.op_plans {
+    if cached.op_plans != fresh.op_plans {
         return Err("op plans diverge".into());
     }
-    if staged.stats != mono.stats {
+    let stats = |s: CompileStats| CompileStats { timing_measurements: 0, ..s };
+    if stats(cached.stats) != stats(fresh.stats) {
         return Err(format!(
-            "compile stats diverge: staged {:?} vs monolithic {:?}",
-            staged.stats, mono.stats
+            "compile stats diverge: cached {:?} vs fresh {:?}",
+            cached.stats, fresh.stats
         ));
     }
     Ok(())
@@ -590,7 +603,9 @@ fn batch_monotonicity(case: &CheckCase) -> Result<(), String> {
 }
 
 /// Cross-fidelity agreement: TLS must stay within tolerance of the
-/// instruction-level reference.
+/// instruction-level reference. ILS charges each tile its TLS latency plus
+/// a fixed overhead, so today this holds by construction: it is a
+/// tautology until ILS times an instruction stream of its own.
 fn fidelity_agreement(case: &CheckCase) -> Result<(), String> {
     let sim = Simulator::new(case.cfg.clone());
     let spec = case.workload.spec();

@@ -132,22 +132,4 @@ impl Compiler {
     ) -> Result<CompiledModel> {
         Lowerer::staged(&self.cfg, &self.opts, store).with_plan(plan).lower(graph, name, batch)
     }
-
-    /// Compiles through the legacy single-pass path (private latency
-    /// cache, no artifact staging). Kept behind the `monolithic` feature
-    /// for one release as the bit-identity reference of the
-    /// `staged_vs_monolithic` check oracle; scheduled for deletion.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Compiler::compile`].
-    #[cfg(feature = "monolithic")]
-    pub fn compile_monolithic(
-        &self,
-        graph: &Graph,
-        name: &str,
-        batch: usize,
-    ) -> Result<CompiledModel> {
-        Lowerer::new(&self.cfg, &self.opts).lower(graph, name, batch)
-    }
 }

@@ -22,7 +22,7 @@ use ptsim_common::fingerprint::Fnv;
 use ptsim_common::Result;
 use ptsim_graph::{Graph, Op, ValueId};
 use ptsim_isa::program::Program;
-use ptsim_timingsim::{LatencyCache, TimingSim};
+use ptsim_timingsim::TimingSim;
 use ptsim_tog::{ExecUnit, ExecutableTog, FlatNode, FlatNodeKind};
 use std::collections::HashMap;
 
@@ -154,10 +154,8 @@ pub struct Lowerer<'a> {
     opts: &'a CompilerOptions,
     kg: KernelGen,
     timing: TimingSim,
-    lat_cache: LatencyCache,
-    /// Shared per-kernel measurement store (staged pipeline); `None` runs
-    /// the legacy monolithic path through `lat_cache`.
-    store: Option<&'a KernelStore>,
+    /// Shared per-kernel measurement store: the one place kernels are timed.
+    store: &'a KernelStore,
     /// Precomputed plan to emit from (staged pipeline stage 4).
     plan: Option<&'a PlanArtifact>,
     /// Kernel config-projection fingerprint, the store key half.
@@ -175,14 +173,15 @@ pub struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn base(cfg: &'a SimConfig, opts: &'a CompilerOptions) -> Self {
+    /// Creates a lowerer measuring kernels through the shared `store`,
+    /// keyed by the kernel config projection.
+    pub fn staged(cfg: &'a SimConfig, opts: &'a CompilerOptions, store: &'a KernelStore) -> Self {
         Lowerer {
             cfg,
             opts,
             kg: KernelGen::new(&cfg.npu),
             timing: TimingSim::new(&cfg.npu),
-            lat_cache: LatencyCache::new(),
-            store: None,
+            store,
             plan: None,
             kernel_fp: cfg.npu.kernel_projection().fingerprint(),
             measured: 0,
@@ -194,19 +193,6 @@ impl<'a> Lowerer<'a> {
             cores: cfg.npu.cores,
             stats: CompileStats::default(),
         }
-    }
-
-    /// Creates a lowerer running the legacy monolithic path: every kernel
-    /// is measured through a private latency cache.
-    #[cfg(feature = "monolithic")]
-    pub fn new(cfg: &'a SimConfig, opts: &'a CompilerOptions) -> Self {
-        Lowerer::base(cfg, opts)
-    }
-
-    /// Creates a staged lowerer measuring kernels through the shared
-    /// `store`, keyed by the kernel config projection.
-    pub fn staged(cfg: &'a SimConfig, opts: &'a CompilerOptions, store: &'a KernelStore) -> Self {
-        Lowerer { store: Some(store), ..Lowerer::base(cfg, opts) }
     }
 
     /// Emits from a precomputed plan artifact instead of replanning.
@@ -274,9 +260,8 @@ impl<'a> Lowerer<'a> {
             None => MemoryLayout::for_graph(graph, DRAM_BASE),
         };
         // Replay the plan's autotune probes through the shared store so the
-        // emitted kernel set (and hence the compiled model) stays
-        // bit-identical to the monolithic path, which keeps probe kernels
-        // in its kernel map.
+        // emitted kernel set is the same whether the plan was built in this
+        // compile or fetched from a cache: probe kernels stay in the map.
         if let Some(plan) = self.plan {
             for probe in plan.probes.clone() {
                 let pname =
@@ -315,14 +300,10 @@ impl<'a> Lowerer<'a> {
         }
         self.stats.kernels = self.kernels.len();
         self.stats.tog_nodes = self.nodes.len();
-        // Staged: measurements this model caused = the plan stage's plus
-        // this emission's store misses (a cached plan attributes its
-        // original probe measurements). Monolithic: private-cache misses.
-        self.stats.timing_measurements = if self.store.is_some() {
-            self.plan.map_or(0, |p| p.measured) + self.measured
-        } else {
-            self.lat_cache.stats().1
-        };
+        // Measurements this model caused: the plan stage's plus this
+        // emission's store misses (a cached plan attributes its original
+        // probe measurements).
+        self.stats.timing_measurements = self.plan.map_or(0, |p| p.measured) + self.measured;
         let tog = ExecutableTog { name: format!("{name}_b{batch}"), nodes: self.nodes };
         tog.validate()?;
         Ok(CompiledModel {
@@ -468,24 +449,15 @@ impl<'a> Lowerer<'a> {
         name: &str,
         make: impl FnOnce(&KernelGen) -> Result<Program>,
     ) -> Result<u64> {
-        if let Some(store) = self.store {
-            let (measured, missed) =
-                store.get_or_measure(name, self.kernel_fp, &self.timing, || make(&self.kg))?;
-            if missed {
-                self.measured += 1;
-            }
-            if !self.kernels.contains_key(name) {
-                self.kernels.insert(name.to_string(), measured.program.clone());
-            }
-            return Ok(measured.latency.cycles);
+        let (measured, missed) =
+            self.store.get_or_measure(name, self.kernel_fp, &self.timing, || make(&self.kg))?;
+        if missed {
+            self.measured += 1;
         }
         if !self.kernels.contains_key(name) {
-            let program = make(&self.kg)?;
-            debug_assert_eq!(program.name, name, "kernel name mismatch");
-            self.kernels.insert(name.to_string(), program);
+            self.kernels.insert(name.to_string(), measured.program.clone());
         }
-        let program = &self.kernels[name];
-        Ok(self.lat_cache.latency(&self.timing, program)?.cycles)
+        Ok(measured.latency.cycles)
     }
 
     fn compute(
@@ -820,7 +792,7 @@ impl<'a> Lowerer<'a> {
     /// GEMM tiling, optionally autotuned: candidate M-tiles are scored by
     /// offline-measured kernel cycles per output row plus their DMA cost at
     /// peak bandwidth, and the cheapest wins (§3.6.3 autotuning). Kernel
-    /// measurements go through the latency cache, so candidates are cheap
+    /// measurements go through the kernel store, so candidates are cheap
     /// to revisit across operators.
     fn plan_tiling(&mut self, node: usize, m: usize, k: usize, n: usize) -> Result<GemmTiling> {
         if let Some(plan) = self.plan {

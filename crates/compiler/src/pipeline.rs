@@ -102,9 +102,8 @@ pub fn capture(graph: &Graph) -> Result<GraphArtifact> {
 /// An autotune probe the planner measured while scoring candidate M-tiles.
 ///
 /// Recorded so TOG emission can replay the probe through the shared
-/// [`KernelStore`] — the monolithic lowerer keeps probe kernels in the
-/// compiled model's kernel map, and bit-identity requires the staged path
-/// to reproduce that.
+/// [`KernelStore`]: probe kernels belong to the compiled model's kernel
+/// map whether the plan was built in this compile or came from a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbedGemm {
     /// Probed M-tile.

@@ -31,8 +31,6 @@
 //! # Ok::<(), ptsim_common::Error>(())
 //! ```
 
-pub mod cache;
 pub mod core;
 
-pub use cache::LatencyCache;
 pub use core::{TileLatency, TimingParams, TimingSim};
