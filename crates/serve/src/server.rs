@@ -41,7 +41,7 @@ use crate::rescache::ResultCache;
 use ptsim_common::fingerprint::fnv1a;
 use ptsim_common::json::{Json, ToJson};
 use ptsim_common::{CancelToken, Error};
-use ptsim_trace::MetricsRegistry;
+use ptsim_trace::{Gauge, MetricsRegistry};
 use pytorchsim::obs::CounterHub;
 use pytorchsim::sweep::{Sweep, SweepOptions};
 use pytorchsim::{CompileCache, RunSpec};
@@ -144,14 +144,22 @@ struct JobQueue {
     inner: Mutex<(VecDeque<Job>, bool)>,
     ready: Condvar,
     depth: usize,
+    /// `serve.queue.depth`, written under the lock: a push and a pop
+    /// publishing after it could otherwise leave a stale depth behind.
+    gauge: Gauge,
 }
 
 impl JobQueue {
-    fn new(depth: usize) -> Self {
-        JobQueue { inner: Mutex::new((VecDeque::new(), false)), ready: Condvar::new(), depth }
+    fn new(depth: usize, gauge: Gauge) -> Self {
+        JobQueue {
+            inner: Mutex::new((VecDeque::new(), false)),
+            ready: Condvar::new(),
+            depth,
+            gauge,
+        }
     }
 
-    fn try_push(&self, job: Job) -> Result<usize, PushError> {
+    fn try_push(&self, job: Job) -> Result<(), PushError> {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         if inner.1 {
             return Err(PushError::Closed);
@@ -160,18 +168,18 @@ impl JobQueue {
             return Err(PushError::Full);
         }
         inner.0.push_back(job);
-        let len = inner.0.len();
+        self.gauge.set(inner.0.len() as u64);
         self.ready.notify_one();
-        Ok(len)
+        Ok(())
     }
 
     /// Blocks for the next job; `None` once closed *and* drained.
-    fn pop(&self) -> Option<(Job, usize)> {
+    fn pop(&self) -> Option<Job> {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         loop {
             if let Some(job) = inner.0.pop_front() {
-                let left = inner.0.len();
-                return Some((job, left));
+                self.gauge.set(inner.0.len() as u64);
+                return Some(job);
             }
             if inner.1 {
                 return None;
@@ -309,11 +317,12 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = cfg.workers;
+    let metrics = Arc::new(MetricsRegistry::new());
     let state = Arc::new(State {
-        queue: JobQueue::new(cfg.queue_depth),
+        queue: JobQueue::new(cfg.queue_depth, metrics.gauge("serve.queue.depth")),
         results: ResultCache::new(cfg.result_cache_mb * (1 << 20)),
         inflight: InflightMap::new(),
-        metrics: Arc::new(MetricsRegistry::new()),
+        metrics,
         compile_cache: CompileCache::shared(),
         draining: AtomicBool::new(false),
         force_cancel: AtomicBool::new(false),
@@ -508,10 +517,7 @@ fn admit_and_wait(state: &Arc<State>, job: Job, slot: &crate::inflight::Slot) ->
         return respond(outcome, "miss");
     }
     match state.queue.try_push(job) {
-        Ok(depth) => {
-            state.metrics.gauge("serve.queue.depth").set(depth as u64);
-            wait_on_slot(state, slot)
-        }
+        Ok(()) => wait_on_slot(state, slot),
         Err(PushError::Full) => {
             state.metrics.counter("serve.rejected.queue_full").inc();
             let outcome: Outcome =
@@ -676,8 +682,7 @@ fn as_ndjson(mut resp: Response) -> Response {
 }
 
 fn worker_loop(state: &Arc<State>) {
-    while let Some((job, left)) = state.queue.pop() {
-        state.metrics.gauge("serve.queue.depth").set(left as u64);
+    while let Some(job) = state.queue.pop() {
         let gauge = state.metrics.gauge("serve.inflight");
         gauge.add(1);
         // The run's end-to-end deadline counts from admission, so queue

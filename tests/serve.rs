@@ -122,7 +122,7 @@ fn graceful_shutdown_completes_every_admitted_request() {
             .unwrap();
     let addr = handle.addr();
 
-    // One long run (ILS gemm-384: ~0.2 s in release, ~1.3 s in debug)
+    // One long run (ILS gemm-384: ~0.1 s in release, ~1.1 s in debug)
     // holds one worker while quick TLS runs pass through the other, so a
     // run is still executing when the drain starts. The waits below are on
     // monotonic counters, never on a gauge a short run can flip and unflip
@@ -189,8 +189,8 @@ fn admission_queue_overflow_yields_429() {
     .unwrap();
     let addr = handle.addr();
 
-    // Blocker: a sweep of slow points occupies the single worker for a
-    // while (instruction-level fidelity, many points, one job).
+    // Blocker: a sweep of many points occupies the single worker for a
+    // while (~0.15 s in release, ~1.4 s in debug; one job).
     let blocker_points: Vec<String> = (0..48)
         .map(|i| tiny_spec(96 + 8 * (i % 12)).with_fidelity(FidelitySpec::Ils).canonical_json())
         .collect();
@@ -356,11 +356,9 @@ fn mid_run_deadline_expiry_returns_503_promptly() {
     .unwrap();
     let mut client = HttpClient::new(handle.addr());
 
-    // Fast compile (milliseconds), long simulation (instruction-level
-    // fidelity even in release — gemm-512 measures ~0.85 s in
-    // `examples/cancel_probe.rs`): the deadline expires deep inside the
-    // engine, where only the scheduler's bounded-interval poll sites can
-    // observe it.
+    // Fast compile (milliseconds), long simulation (~0.7 s even in
+    // release): the deadline expires deep inside the engine, where only the
+    // scheduler's bounded-interval poll sites can observe it.
     let body = tiny_spec(512).with_fidelity(FidelitySpec::Ils).canonical_json();
     let t0 = Instant::now();
     let resp = client.post("/v1/simulate", &body).unwrap();
@@ -396,10 +394,10 @@ fn shutdown_grace_cancels_stuck_runs_and_strands_no_followers() {
     })
     .unwrap();
     let addr = handle.addr();
-    // A sweep long enough (several seconds of instruction-level timing)
-    // that it is always still mid-run when the grace period expires.
+    // A sweep long enough (~2 s even in release) that it is always still
+    // mid-run when the grace period expires.
     let points: Vec<String> = (0..16)
-        .map(|i| tiny_spec(192 + 8 * (i % 8)).with_fidelity(FidelitySpec::Ils).canonical_json())
+        .map(|i| tiny_spec(384 + 8 * (i % 8)).with_fidelity(FidelitySpec::Ils).canonical_json())
         .collect();
     let body = format!("{{\"points\":[{}]}}", points.join(","));
 
