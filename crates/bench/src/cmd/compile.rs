@@ -1,51 +1,41 @@
-//! Dumps the staged compile pipeline for one model: the artifact each
-//! stage produces (with its content fingerprint), per-stage wall-clock
-//! timings, and kernel-store efficiency.
-//!
-//! Usage: `report_compile [--model gemm|bert|resnet] [--json]`
+//! `ptsim compile [gemm|bert|resnet] [--json]`: dumps the staged compile
+//! pipeline for one model: the artifact each stage produces (with its
+//! content fingerprint), per-stage wall-clock timings, and kernel-store
+//! efficiency.
 //!
 //! After the cold compile the report re-emits the same model twice through
 //! the same kernel store — once unchanged (every kernel lookup must hit)
 //! and once under a DRAM-only config variant (the plan fingerprint and
 //! every measured latency must carry over, because kernel timing reads
 //! only the core projection of the config). A violation of either reuse
-//! invariant exits nonzero, so this binary doubles as a smoke test of the
+//! invariant exits 1, so this subcommand doubles as a smoke test of the
 //! staged cache.
 
+use super::trace::model;
+use crate::cli::{Args, Error};
 use ptsim_common::config::SimConfig;
 use ptsim_common::json::Json;
 use pytorchsim::compiler::{Compiler, CompilerOptions, KernelStore};
-use pytorchsim::models::{self, ModelSpec};
+use pytorchsim::models;
+use std::process::ExitCode;
 use std::time::Instant;
-
-fn cli_model() -> ModelSpec {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args
-        .iter()
-        .position(|a| a == "--model")
-        .and_then(|i| args.get(i + 1))
-        .map_or("gemm", String::as_str);
-    match name {
-        "gemm" => models::gemm(256),
-        "bert" => models::bert(
-            models::BertConfig { layers: 2, ..models::BertConfig::base(128, 1) },
-            "bert_mini",
-        ),
-        "resnet" => models::resnet18(1),
-        other => {
-            eprintln!("--model expects gemm, bert, or resnet; got {other:?}");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn seconds(t: Instant) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-fn main() {
-    let spec = cli_model();
-    let json = std::env::args().any(|a| a == "--json");
+pub fn compile(args: &mut Args) -> Result<ExitCode, Error> {
+    let json = args.flag("--json");
+    let spec = model(args, "gemm", |name| match name {
+        "gemm" => Some(models::gemm(256)),
+        "bert" => Some(models::bert(
+            models::BertConfig { layers: 2, ..models::BertConfig::base(128, 1) },
+            "bert_mini",
+        )),
+        "resnet" => Some(models::resnet18(1)),
+        _ => None,
+    })?;
+    args.finish()?;
     let cfg = SimConfig::tpu_v3_single_core();
     let compiler = Compiler::new(cfg.clone(), CompilerOptions::default());
     let store = KernelStore::new();
@@ -209,10 +199,8 @@ fn main() {
         );
     }
 
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        std::process::exit(1);
+    for v in &violations {
+        eprintln!("VIOLATION: {v}");
     }
+    Ok(if violations.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

@@ -1,21 +1,24 @@
-//! Load-test harness for the simulation daemon.
+//! `ptsim loadgen`: the load-test harness for the simulation daemon.
 //!
 //! ```sh
 //! # Spawn a 4-worker daemon, hammer it for 10 s, write reports/loadgen.json:
-//! cargo run --release -p ptsim-serve --bin report_loadgen -- \
-//!     --spawn --workers 4 --conns 8 --duration 10 --mix cached
+//! ptsim loadgen --spawn --workers 4 --conns 8 --duration 10 --mix cached
 //!
 //! # Against an already-running daemon, open-loop at 200 req/s:
-//! cargo run --release -p ptsim-serve --bin report_loadgen -- \
-//!     --addr 127.0.0.1:8080 --rps 200 --duration 30 --mix mixed:20
+//! ptsim loadgen --addr 127.0.0.1:8080 --rps 200 --duration 30 --mix mixed:20
 //!
 //! # CI smoke: spawn, one /healthz + one /v1/simulate, graceful shutdown:
-//! cargo run --release -p ptsim-serve --bin report_loadgen -- --smoke
+//! ptsim loadgen --smoke
 //! ```
 //!
-//! Exit code is nonzero on transport errors, simulation failures, or (in
-//! `--smoke` mode) any deviation from the expected handshake.
+//! Without `--addr` it spawns `ptsim serve --port 0` from its own
+//! executable. Defaults: 4 workers, queue depth 64, 32 MiB result cache for
+//! the spawned daemon; 4 connections for 10 s, closed loop (`--rps 0`),
+//! `--mix cached`, `--out reports/loadgen.json`. Exit code is 1 on
+//! transport errors, simulation failures, or (in `--smoke` mode) any
+//! deviation from the expected handshake.
 
+use crate::cli::{Args, Error};
 use ptsim_serve::client::HttpClient;
 use ptsim_serve::loadgen::{self, LoadgenConfig, Mix};
 use std::io::{BufRead, BufReader};
@@ -23,9 +26,8 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Duration;
 
-struct Args {
+struct Options {
     addr: Option<SocketAddr>,
-    spawn: bool,
     smoke: bool,
     workers: usize,
     queue_depth: usize,
@@ -37,101 +39,23 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: None,
-        spawn: false,
-        smoke: false,
-        workers: 4,
-        queue_depth: 64,
-        result_cache_mb: 32,
-        conns: 4,
-        duration_s: 10.0,
-        rps: 0.0,
-        mix: Mix::Cached,
-        out: "reports/loadgen.json".into(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => {
-                args.addr = Some(value("--addr")?.parse().map_err(|e| format!("--addr: {e}"))?)
-            }
-            "--spawn" => args.spawn = true,
-            "--smoke" => args.smoke = true,
-            "--workers" => {
-                args.workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
-            }
-            "--queue-depth" => {
-                args.queue_depth =
-                    value("--queue-depth")?.parse().map_err(|e| format!("--queue-depth: {e}"))?
-            }
-            "--result-cache-mb" => {
-                args.result_cache_mb = value("--result-cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--result-cache-mb: {e}"))?
-            }
-            "--conns" => {
-                args.conns = value("--conns")?.parse().map_err(|e| format!("--conns: {e}"))?
-            }
-            "--duration" => {
-                args.duration_s =
-                    value("--duration")?.parse().map_err(|e| format!("--duration: {e}"))?
-            }
-            "--rps" => args.rps = value("--rps")?.parse().map_err(|e| format!("--rps: {e}"))?,
-            "--mix" => args.mix = Mix::parse(&value("--mix")?)?,
-            "--out" => args.out = value("--out")?,
-            "--help" | "-h" => {
-                println!(
-                    "usage: report_loadgen [--addr HOST:PORT | --spawn] [--smoke]\n\
-                     \x20                     [--workers N] [--queue-depth D] [--conns C]\n\
-                     \x20                     [--duration S] [--rps R] [--mix M] [--out F]\n\
-                     \n\
-                     --addr HOST:PORT  target an already-running daemon\n\
-                     --spawn           spawn a sibling ptsim_serve on an ephemeral port\n\
-                     --smoke           CI handshake only: healthz, one simulate, shutdown\n\
-                     --workers N       workers for the spawned daemon (default 4)\n\
-                     --queue-depth D   queue depth for the spawned daemon (default 64)\n\
-                     --result-cache-mb M  result cache for the spawned daemon, 0 off (default 32)\n\
-                     --conns C         concurrent connections (default 4)\n\
-                     --duration S      measured seconds (default 10)\n\
-                     --rps R           open-loop target rate, 0 = closed loop (default 0)\n\
-                     --mix M           cached | distinct | mixed:NN (default cached)\n\
-                     --out F           JSON artifact path (default reports/loadgen.json)"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if args.addr.is_none() {
-        args.spawn = true;
-    }
-    Ok(args)
-}
-
-/// A spawned sibling `ptsim_serve`, shut down gracefully on drop paths.
+/// A spawned `ptsim serve`, shut down gracefully on drop paths.
 struct SpawnedServer {
     child: Child,
     addr: SocketAddr,
 }
 
+/// Re-executes this binary as `ptsim serve --port 0` and waits for the
+/// address it announces.
 fn spawn_server(
     workers: usize,
     queue_depth: usize,
     result_cache_mb: usize,
 ) -> Result<SpawnedServer, String> {
     let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let sibling = me
-        .parent()
-        .map(|d| d.join("ptsim_serve"))
-        .filter(|p| p.exists())
-        .ok_or("ptsim_serve binary not found next to report_loadgen (build both first)")?;
-    let mut child = Command::new(sibling)
+    let mut child = Command::new(me)
         .args([
+            "serve",
             "--port",
             "0",
             "--workers",
@@ -144,24 +68,24 @@ fn spawn_server(
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
-        .map_err(|e| format!("spawn ptsim_serve: {e}"))?;
-    let stdout = child.stdout.take().ok_or("no stdout from ptsim_serve")?;
+        .map_err(|e| format!("spawn ptsim serve: {e}"))?;
+    let stdout = child.stdout.take().ok_or("no stdout from ptsim serve")?;
     let mut lines = BufReader::new(stdout).lines();
     let addr = loop {
         match lines.next() {
             Some(Ok(line)) => {
-                println!("[ptsim_serve] {line}");
+                println!("[ptsim serve] {line}");
                 if let Some(rest) = line.strip_prefix("listening on http://") {
                     break rest.parse().map_err(|e| format!("bad server address: {e}"))?;
                 }
             }
-            _ => return Err("ptsim_serve exited before announcing its address".into()),
+            _ => return Err("ptsim serve exited before announcing its address".into()),
         }
     };
     // Keep draining the child's stdout so it never blocks on a full pipe.
     std::thread::spawn(move || {
         for line in lines.map_while(Result::ok) {
-            println!("[ptsim_serve] {line}");
+            println!("[ptsim serve] {line}");
         }
     });
     Ok(SpawnedServer { child, addr })
@@ -176,7 +100,7 @@ fn shutdown_server(mut server: SpawnedServer) -> Result<(), String> {
     drop(client);
     let status = server.child.wait().map_err(|e| format!("wait: {e}"))?;
     if !status.success() {
-        return Err(format!("ptsim_serve exited with {status}"));
+        return Err(format!("ptsim serve exited with {status}"));
     }
     Ok(())
 }
@@ -236,7 +160,7 @@ fn smoke(addr: SocketAddr) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: &Options) -> Result<(), String> {
     let (addr, server) = match args.addr {
         Some(addr) => (addr, None),
         None => {
@@ -280,19 +204,27 @@ fn run(args: &Args) -> Result<(), String> {
     }
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("report_loadgen: {e}");
-            return ExitCode::FAILURE;
-        }
+pub fn loadgen(args: &mut Args) -> Result<ExitCode, Error> {
+    let addr = args.value("--addr")?;
+    args.flag("--spawn"); // spawning is what happens without --addr
+    let opts = Options {
+        addr,
+        smoke: args.flag("--smoke"),
+        workers: args.value("--workers")?.unwrap_or(4),
+        queue_depth: args.value("--queue-depth")?.unwrap_or(64),
+        result_cache_mb: args.value("--result-cache-mb")?.unwrap_or(32),
+        conns: args.value("--conns")?.unwrap_or(4),
+        duration_s: args.value("--duration")?.unwrap_or(10.0),
+        rps: args.value("--rps")?.unwrap_or(0.0),
+        mix: args.value_with("--mix", Mix::parse)?.unwrap_or(Mix::Cached),
+        out: args.value("--out")?.unwrap_or_else(|| "reports/loadgen.json".to_string()),
     };
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+    args.finish()?;
+    match run(&opts) {
+        Ok(()) => Ok(ExitCode::SUCCESS),
         Err(e) => {
-            eprintln!("report_loadgen: {e}");
-            ExitCode::FAILURE
+            eprintln!("ptsim loadgen: {e}");
+            Ok(ExitCode::FAILURE)
         }
     }
 }

@@ -1,9 +1,7 @@
-//! Bottleneck-attribution profiler: runs a workload with the hardware
+//! `ptsim profile [gemm|bert|resnet] [--bench] [--json] [--trace out.json]
+//! [--top N] [--bucket CYCLES] [--guard] [--max-overhead RATIO]`: the
+//! bottleneck-attribution profiler. It runs a workload with the hardware
 //! performance counters enabled and reports where the engine cycles went.
-//!
-//! Usage: `report_profile [gemm|bert|resnet] [--bench] [--json]
-//! [--trace out.json] [--top N] [--bucket CYCLES] [--guard]
-//! [--max-overhead RATIO]`
 //!
 //! The report joins three layers of the stack:
 //!
@@ -23,9 +21,10 @@
 //! `--max-overhead` tightens the guard's overhead-ratio bound (default
 //! 25, a catastrophic-regression backstop — CI pins a smaller one).
 
+use super::trace::{model, workload};
+use crate::cli::{Args, Error};
 use ptsim_common::config::SimConfig;
 use pytorchsim::compiler::CompiledModel;
-use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::obs::profile::{apportion, attribute, Attribution};
 use pytorchsim::obs::{CounterConfig, CounterHub, CounterKey, QueueSite};
 use pytorchsim::timingsim::TimingSim;
@@ -33,77 +32,9 @@ use pytorchsim::tog::FlatNodeKind;
 use pytorchsim::trace::{chrome, validate, Tracer};
 use pytorchsim::{RunOptions, Simulator};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-
-struct Args {
-    model: String,
-    bench: bool,
-    json: bool,
-    trace_path: Option<String>,
-    top: usize,
-    bucket: u64,
-    guard: bool,
-    max_overhead: f64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        model: "bert".to_string(),
-        bench: false,
-        json: false,
-        trace_path: None,
-        top: 5,
-        bucket: 1024,
-        guard: false,
-        max_overhead: 25.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bench" => args.bench = true,
-            "--json" => args.json = true,
-            "--guard" => args.guard = true,
-            "--trace" => {
-                args.trace_path = Some(it.next().expect("--trace requires an output path"));
-            }
-            "--top" => {
-                let v = it.next().expect("--top requires a count");
-                args.top =
-                    v.parse().unwrap_or_else(|_| panic!("--top expects a number, got {v:?}"));
-            }
-            "--bucket" => {
-                let v = it.next().expect("--bucket requires a cycle count");
-                args.bucket =
-                    v.parse().unwrap_or_else(|_| panic!("--bucket expects cycles, got {v:?}"));
-            }
-            "--max-overhead" => {
-                let v = it.next().expect("--max-overhead requires a ratio");
-                args.max_overhead = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--max-overhead expects a ratio, got {v:?}"));
-            }
-            m if !m.starts_with('-') => args.model = m.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn workload(name: &str, bench: bool) -> ModelSpec {
-    match name {
-        "gemm" => models::gemm(if bench { 256 } else { 1024 }),
-        "bert" => models::bert_base(if bench { 64 } else { 512 }, 1),
-        "resnet" => models::resnet18(1),
-        other => {
-            eprintln!("unknown model {other}; expected gemm, bert, or resnet");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// One row of the per-layer table: a kernel row's cycles split across the
 /// graph operators that instantiated the kernel, proportional to each
@@ -244,18 +175,23 @@ fn pct(part: u64, whole: u64) -> String {
     format!("{:.1}%", part as f64 * 100.0 / whole as f64)
 }
 
-fn main() {
-    let args = parse_args();
-    let spec = workload(&args.model, args.bench);
+pub fn profile(args: &mut Args) -> Result<ExitCode, Error> {
+    let bench = args.flag("--bench");
+    let json = args.flag("--json");
+    let guard = args.flag("--guard");
+    let trace_path: Option<String> = args.value("--trace")?;
+    let top = args.value("--top")?.unwrap_or(5);
+    let bucket = args.value("--bucket")?.unwrap_or(1024);
+    let max_overhead: f64 = args.value("--max-overhead")?.unwrap_or(25.0);
+    let spec = model(args, "bert", |name| workload(name, bench))?;
+    args.finish()?;
     let cfg = SimConfig::tpu_v3_single_core();
     let sim = Simulator::new(cfg.clone());
     let model = sim.compile(&spec).expect("compilation succeeds");
 
-    let hub = CounterHub::shared(CounterConfig {
-        cycles_per_bucket: args.bucket,
-        ..CounterConfig::default()
-    });
-    let tracer = args.trace_path.as_ref().map(|_| Tracer::shared());
+    let hub =
+        CounterHub::shared(CounterConfig { cycles_per_bucket: bucket, ..CounterConfig::default() });
+    let tracer = trace_path.as_ref().map(|_| Tracer::shared());
     let mut opts = RunOptions::tls().with_counters(Arc::clone(&hub));
     if let Some(t) = &tracer {
         opts = opts.with_tracer(Arc::clone(t));
@@ -264,7 +200,7 @@ fn main() {
     let report = sim.run_compiled(&model, &opts).expect("simulation succeeds");
     let wall_on = started.elapsed();
 
-    if args.guard {
+    if guard {
         // The counters must observe without perturbing: a counters-off run
         // of the same compiled model must produce a bit-identical report.
         let started = Instant::now();
@@ -284,9 +220,9 @@ fn main() {
         // default bound is a deliberately loose catastrophic-regression
         // backstop, tightened by CI via --max-overhead.
         assert!(
-            ratio < args.max_overhead,
+            ratio < max_overhead,
             "counter overhead ratio {ratio:.2}x exceeds the guard bound {:.2}x",
-            args.max_overhead
+            max_overhead
         );
     }
 
@@ -299,22 +235,22 @@ fn main() {
     );
 
     let layers = layer_table(&model, &attr);
-    let top_names: Vec<String> = attr.top(args.top).iter().map(|k| k.kernel.clone()).collect();
+    let top_names: Vec<String> = attr.top(top).iter().map(|k| k.kernel.clone()).collect();
     let micro = kernel_micro_profiles(&cfg, &model, &top_names);
 
-    if let Some(path) = &args.trace_path {
+    if let Some(path) = &trace_path {
         let tracer = tracer.as_ref().expect("tracer was attached for --trace");
-        let json =
+        let exported =
             chrome::export_chrome_trace_with_counters(&tracer.events(), &hub.counter_tracks());
-        let check = validate::validate_chrome_trace(&json).expect("exported trace is valid");
-        std::fs::write(path, &json).expect("trace file is writable");
+        let check = validate::validate_chrome_trace(&exported).expect("exported trace is valid");
+        std::fs::write(path, &exported).expect("trace file is writable");
         eprintln!(
             "wrote {path}: {} records ({} spans, {} counter samples) across {} tracks",
             check.records, check.spans, check.counters, check.tracks
         );
     }
 
-    if args.json {
+    if json {
         let micro_json = ptsim_common::json::Json::Arr(
             micro
                 .iter()
@@ -360,7 +296,7 @@ fn main() {
             .set("kernel_micro", micro_json)
             .set("counters", hub.to_json());
         println!("{}", doc.render());
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     println!(
@@ -437,7 +373,7 @@ fn main() {
     );
 
     println!("\n## Top bottlenecks\n");
-    for k in attr.top(args.top) {
+    for k in attr.top(top) {
         let (dominant, amount) = [
             ("compute-bound", k.compute),
             ("DRAM-bound", k.dram_stall),
@@ -456,4 +392,5 @@ fn main() {
             dominant
         );
     }
+    Ok(ExitCode::SUCCESS)
 }

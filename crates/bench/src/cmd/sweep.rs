@@ -1,27 +1,21 @@
-//! Demonstrates the parallel sweep harness on a Fig. 7-style grid
-//! (GEMM, BERT-mini, ResNet-18 across NPU configurations).
-//!
-//! Usage: `report_sweep [--bench] [--jobs N] [--json] [--bench-harness]
-//! [--dram-sweep N]`
+//! `ptsim sweep`: the parallel sweep harness on a Fig. 7-style grid (GEMM,
+//! BERT-mini, ResNet-18 across NPU configurations).
 //!
 //! `--dram-sweep N` instead sweeps one model over N DRAM-only config
 //! variants through a shared compile cache and asserts the staged
 //! pipeline's headline property: DRAM parameters are outside every compile
 //! stage's config projection, so the sweep performs zero redundant kernel
-//! timing measurements (kernel-stage hit rate ≥ (N−1)/N). Exits nonzero on
+//! timing measurements (kernel-stage hit rate ≥ (N−1)/N). Exits 1 on
 //! violation — CI runs it as the compile-cache smoke test.
-//!
-//! `--jobs N` runs the sweep over N worker threads (results are
-//! bit-identical at any count). `--bench-harness` instead benchmarks the
-//! harness itself: it executes the same grid serially and in parallel on a
-//! cold cache each time, verifies the reports match, and prints the
-//! wall-clock speedup — the sanity check that parallel sweeps actually pay.
 
-use ptsim_bench::{cli_scale_and_jobs, print_table, Scale};
+use super::figures::scale_jobs_json;
+use crate::cli::{Args, Error};
+use ptsim_bench::{print_table, Scale};
 use ptsim_common::config::{NocConfig, SimConfig};
 use ptsim_common::json::ToJson;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
+use std::process::ExitCode;
 
 fn grid(scale: Scale) -> Sweep {
     let specs: Vec<ModelSpec> = match scale {
@@ -41,43 +35,12 @@ fn grid(scale: Scale) -> Sweep {
     Sweep::grid(specs, &configs)
 }
 
-fn bench_harness(scale: Scale, jobs: usize) {
-    let sweep = grid(scale);
-    let jobs = if jobs > 1 {
-        jobs
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get().min(sweep.len()))
-    };
-
-    // Cold caches on both sides: the harness benchmark measures compile +
-    // simulate, which is what a fresh exploration sweep pays.
-    let serial = sweep.run(&SweepOptions::with_jobs(1)).expect("serial sweep succeeds");
-    let parallel = sweep.run(&SweepOptions::with_jobs(jobs)).expect("parallel sweep succeeds");
-
-    assert_eq!(
-        serial.sim_reports(),
-        parallel.sim_reports(),
-        "parallel sweep must be bit-identical to serial"
-    );
-    assert_eq!(serial.cache.compiles, parallel.cache.compiles, "same unique compiles");
-
-    println!("sweep harness self-benchmark ({} points)", sweep.len());
-    println!("  serial   (--jobs 1):  {:8.3}s", serial.wall_seconds);
-    println!("  parallel (--jobs {jobs}):  {:8.3}s", parallel.wall_seconds);
-    println!(
-        "  speedup: {:.2}x  (reports bit-identical, {} unique compiles each)",
-        serial.wall_seconds / parallel.wall_seconds.max(1e-9),
-        serial.cache.compiles,
-    );
-}
-
 /// Sweeps one model over `n` DRAM-only config variants and asserts that
 /// kernel timing work is shared across all of them: every variant after
 /// the first must reuse the first's kernel measurements (they differ only
 /// in fields outside the kernel projection), so the kernel-stage hit rate
 /// must reach (n−1)/n with zero redundant measurements.
-fn dram_sweep(scale: Scale, n: usize, jobs: usize, json: bool) {
-    assert!(n >= 2, "--dram-sweep needs at least 2 variants");
+fn dram_sweep(scale: Scale, n: usize, jobs: usize, json: bool) -> ExitCode {
     let spec = match scale {
         Scale::Bench => models::gemm(256),
         Scale::Full => models::bert(
@@ -115,22 +78,10 @@ fn dram_sweep(scale: Scale, n: usize, jobs: usize, json: bool) {
             .set("kernel_hit_rate_target", ptsim_common::json::Json::num(target));
         println!("{}", out.render());
     } else {
-        let table: Vec<Vec<String>> = report
-            .results
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    r.report.total_cycles.to_string(),
-                    r.report.dram.bytes.to_string(),
-                    format!("{:.3}s", r.wall_seconds),
-                ]
-            })
-            .collect();
         print_table(
             &format!("DRAM sweep — {n} variants, shared compile cache"),
             &["point", "cycles", "DRAM bytes", "wall"],
-            &table,
+            &rows(&report),
         );
         println!(
             "\ncompile cache: {} compiles, {} hits; kernel stage: {} misses, {} hits \
@@ -164,39 +115,14 @@ fn dram_sweep(scale: Scale, n: usize, jobs: usize, json: bool) {
         failed = true;
     }
     if failed {
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     println!("zero redundant kernel measurements across {n} DRAM variants");
+    ExitCode::SUCCESS
 }
 
-/// The `--dram-sweep N` flag, if present.
-fn cli_dram_sweep() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--dram-sweep").map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("--dram-sweep needs a variant count, e.g. --dram-sweep 4");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn main() {
-    let (scale, jobs) = cli_scale_and_jobs();
-    if let Some(n) = cli_dram_sweep() {
-        dram_sweep(scale, n, jobs, std::env::args().any(|a| a == "--json"));
-        return;
-    }
-    if std::env::args().any(|a| a == "--bench-harness") {
-        bench_harness(scale, jobs);
-        return;
-    }
-
-    let report = grid(scale).run(&SweepOptions::with_jobs(jobs)).expect("sweep succeeds");
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", report.to_json_string());
-        return;
-    }
-    let table: Vec<Vec<String>> = report
+fn rows(report: &pytorchsim::sweep::SweepReport) -> Vec<Vec<String>> {
+    report
         .results
         .iter()
         .map(|r| {
@@ -207,14 +133,33 @@ fn main() {
                 format!("{:.3}s", r.wall_seconds),
             ]
         })
-        .collect();
+        .collect()
+}
+
+pub fn sweep(args: &mut Args) -> Result<ExitCode, Error> {
+    let (scale, jobs, json) = scale_jobs_json(args)?;
+    let dram_variants = args.value_with("--dram-sweep", |v| match v.parse::<usize>() {
+        Ok(n) if n >= 2 => Ok(n),
+        _ => Err("needs a variant count of at least 2, e.g. --dram-sweep 4"),
+    })?;
+    args.finish()?;
+    if let Some(n) = dram_variants {
+        return Ok(dram_sweep(scale, n, jobs, json));
+    }
+
+    let report = grid(scale).run(&SweepOptions::with_jobs(jobs)).expect("sweep succeeds");
+    if json {
+        println!("{}", report.to_json_string());
+        return Ok(ExitCode::SUCCESS);
+    }
     print_table(
         &format!("Sweep — {} points over {} worker(s)", report.results.len(), report.jobs),
         &["point", "cycles", "DRAM bytes", "wall"],
-        &table,
+        &rows(&report),
     );
     println!(
         "\nwall {:.3}s; compile cache: {} compiles, {} hits",
         report.wall_seconds, report.cache.compiles, report.cache.hits
     );
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,7 +1,6 @@
-//! Runs a real workload under the tracer and exports a Perfetto-loadable
+//! `ptsim trace [gemm|bert|resnet] [--bench] [--trace out.json] [--json]`:
+//! runs a real workload under the tracer and exports a Perfetto-loadable
 //! Chrome trace.
-//!
-//! Usage: `report_trace [gemm|bert|resnet] [--bench] [--trace out.json] [--json]`
 //!
 //! `--trace <path>` writes the Chrome trace-event JSON (open it at
 //! <https://ui.perfetto.dev> or `chrome://tracing`); `--json` prints a
@@ -11,54 +10,42 @@
 //! instead of the human-readable summary; `--bench` shrinks the workload
 //! for CI.
 
+use crate::cli::{Args, Error};
 use ptsim_common::config::SimConfig;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::trace::{chrome, validate, EventData, MetricsRegistry, Tracer};
 use pytorchsim::{RunOptions, Simulator};
+use std::process::ExitCode;
 use std::sync::Arc;
 
-struct Args {
-    model: String,
-    bench: bool,
-    json: bool,
-    trace_path: Option<String>,
+/// Builds the `[gemm|bert|resnet]` positional of `compile`, `trace` and
+/// `profile` (`default` when absent) with `build`, which knows the sizes.
+/// Read it after every `--flag value`, so no flag's value is taken for it.
+pub fn model(
+    args: &mut Args,
+    default: &str,
+    build: impl FnOnce(&str) -> Option<ModelSpec>,
+) -> Result<ModelSpec, Error> {
+    let name = args.positional().unwrap_or_else(|| default.to_string());
+    build(&name).ok_or_else(|| Error::invalid("model", &name, "expected gemm, bert, or resnet"))
 }
 
-fn parse_args() -> Args {
-    let mut args = Args { model: "bert".to_string(), bench: false, json: false, trace_path: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bench" => args.bench = true,
-            "--json" => args.json = true,
-            "--trace" => {
-                args.trace_path = Some(it.next().expect("--trace requires an output path"));
-            }
-            m if !m.starts_with('-') => args.model = m.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn workload(name: &str, bench: bool) -> ModelSpec {
+/// The workloads of `trace` and `profile`; `--bench` shrinks GEMM and BERT.
+pub fn workload(name: &str, bench: bool) -> Option<ModelSpec> {
     match name {
-        "gemm" => models::gemm(if bench { 256 } else { 1024 }),
-        "bert" => models::bert_base(if bench { 64 } else { 512 }, 1),
-        "resnet" => models::resnet18(1),
-        other => {
-            eprintln!("unknown model {other}; expected gemm, bert, or resnet");
-            std::process::exit(2);
-        }
+        "gemm" => Some(models::gemm(if bench { 256 } else { 1024 })),
+        "bert" => Some(models::bert_base(if bench { 64 } else { 512 }, 1)),
+        "resnet" => Some(models::resnet18(1)),
+        _ => None,
     }
 }
 
-fn main() {
-    let args = parse_args();
-    let spec = workload(&args.model, args.bench);
+pub fn trace(args: &mut Args) -> Result<ExitCode, Error> {
+    let bench = args.flag("--bench");
+    let json = args.flag("--json");
+    let trace_path: Option<String> = args.value("--trace")?;
+    let spec = model(args, "bert", |name| workload(name, bench))?;
+    args.finish()?;
     let sim = Simulator::new(SimConfig::tpu_v3_single_core());
     let tracer = Tracer::shared();
     let engine_metrics = Arc::new(MetricsRegistry::new());
@@ -69,10 +56,10 @@ fn main() {
         )
         .expect("simulation succeeds");
 
-    if let Some(path) = &args.trace_path {
-        let json = chrome::export_chrome_trace(&tracer.events());
-        let check = validate::validate_chrome_trace(&json).expect("exported trace is valid");
-        std::fs::write(path, &json).expect("trace file is writable");
+    if let Some(path) = &trace_path {
+        let exported = chrome::export_chrome_trace(&tracer.events());
+        let check = validate::validate_chrome_trace(&exported).expect("exported trace is valid");
+        std::fs::write(path, &exported).expect("trace file is writable");
         eprintln!(
             "wrote {path}: {} records ({} spans, {} async pairs, {} instants) across {} tracks",
             check.records, check.spans, check.async_pairs, check.instants, check.tracks
@@ -82,7 +69,7 @@ fn main() {
         }
     }
 
-    if args.json {
+    if json {
         let jobs = report
             .jobs
             .iter()
@@ -124,6 +111,7 @@ fn main() {
         }
         println!("\n{}", summarize(&tracer).summary_table());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Rolls the trace up into the metrics registry's summary table.

@@ -1,7 +1,7 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§4–§5). Each `figN` module exposes a `run(scale)` function
-//! returning the figure's rows; the `report_figN` binaries print them at
-//! paper scale, or at reduced scale with `--bench`.
+//! returning the figure's rows; `ptsim figN` prints them at paper scale, or
+//! at reduced scale with `--bench`.
 //!
 //! Absolute numbers are not expected to match the paper (the substrate is a
 //! from-scratch simulator, not the authors' testbed); the *shape* — who
@@ -22,21 +22,6 @@ pub enum Scale {
     Bench,
     /// The paper's workload sizes (minutes of wall time).
     Full,
-}
-
-/// Parses the report binaries' shared command line: `--bench` selects the
-/// reduced scale, `--jobs N` sets the sweep worker count (default 1 —
-/// results are bit-identical at any count, see `pytorchsim::sweep`).
-pub fn cli_scale_and_jobs() -> (Scale, usize) {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--bench") { Scale::Bench } else { Scale::Full };
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--jobs expects a number, got {v:?}")))
-        .unwrap_or(1);
-    (scale, jobs)
 }
 
 /// Formats a ratio as `x.xx×`.

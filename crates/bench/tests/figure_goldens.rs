@@ -102,7 +102,7 @@ fn fig5_node_cycles_are_fresh_kernel_measurements() {
 /// Table 1 has no scale: the committed report is its golden.
 #[test]
 fn table1_matches_committed_report() {
-    let out = Command::new(env!("CARGO_BIN_EXE_report_table1")).output().expect("runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_ptsim")).arg("table1").output().expect("runs");
     let rendered = String::from_utf8(out.stdout).expect("utf-8 output");
     check("table1", include_str!("../../../reports/table1.txt"), &rendered);
 }

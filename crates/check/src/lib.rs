@@ -14,8 +14,8 @@
 //! the whole reproduction recipe.
 //!
 //! ```sh
-//! cargo run --release -p ptsim-check --bin report_check -- --seeds 50
-//! cargo run --release -p ptsim-check --bin report_check -- --replay 1234
+//! cargo run --release -p ptsim-bench --bin ptsim -- check --seeds 50
+//! cargo run --release -p ptsim-bench --bin ptsim -- check --replay 1234
 //! ```
 //!
 //! # Examples
@@ -52,7 +52,7 @@ pub struct Failure {
 impl Failure {
     /// The one-line replay command for this finding.
     pub fn replay_command(&self) -> String {
-        format!("cargo run --release -p ptsim-check --bin report_check -- --replay {}", self.seed)
+        format!("cargo run --release -p ptsim-bench --bin ptsim -- check --replay {}", self.seed)
     }
 }
 

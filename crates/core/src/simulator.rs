@@ -105,7 +105,7 @@ impl RunOptions {
     /// Attaches a metrics registry: the simulation engine registers its
     /// per-phase counters there (simulator self-profiling, the
     /// machine-readable replacement of the old `PTSIM_PROFILE` stderr
-    /// dump — surfaced by `report_trace --json`).
+    /// dump — surfaced by `ptsim trace --json`).
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<ptsim_trace::MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);

@@ -22,7 +22,7 @@
 //!
 //! The [`profile`] module turns a recorded hub into a roofline-style
 //! bottleneck attribution (compute vs DRAM-stall vs NoC-stall per
-//! kernel); `report_profile` in `ptsim-bench` joins it with the staged
+//! kernel); `ptsim profile` (in `ptsim-bench`) joins it with the staged
 //! compiler's `KernelStore` for per-layer tables.
 
 pub mod profile;

@@ -15,7 +15,7 @@
 //!
 //! Every split uses exact integer apportioning, so the per-kernel rows
 //! plus tail idle always sum to `total_cycles` — the closure the
-//! `report_profile` acceptance check relies on.
+//! `ptsim profile` acceptance check relies on.
 
 use crate::{common_width, CounterHub, CounterKey, CounterSeries};
 use ptsim_common::json::Json;
@@ -102,7 +102,7 @@ impl Attribution {
 /// Splits `amount` across `shares` proportionally with exact integer
 /// closure: the returned parts always sum to `amount` (the remainder is
 /// folded into the largest share, first on ties). All zero shares ⇒ all
-/// zero parts. Public because `report_profile` reuses it to split
+/// zero parts. Public because `ptsim profile` reuses it to split
 /// per-kernel rows across the layers that instantiated the kernel.
 pub fn apportion(amount: u64, shares: &[u64]) -> Vec<u64> {
     let total: u64 = shares.iter().sum();

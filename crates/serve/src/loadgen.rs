@@ -1,4 +1,4 @@
-//! The load generator behind `report_loadgen`.
+//! The load generator behind `ptsim loadgen`.
 //!
 //! Methodology (recorded in `EXPERIMENTS.md`): `conns` threads each hold
 //! one keep-alive connection and either free-run (closed loop, `rps = 0`)
