@@ -15,7 +15,7 @@ use pytorchsim::graph::autodiff::build_training_graph;
 use pytorchsim::graph::exec;
 use pytorchsim::models::{mlp, SyntheticMnist};
 use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
-use pytorchsim::{TrainingRun, TrainingSim};
+use pytorchsim::{train_mlp, training_spec, TrainingRun};
 
 /// One batch size's training results.
 #[derive(Debug, Clone)]
@@ -35,21 +35,19 @@ impl ToJson for Row {
 /// Runs the batch-size study. The per-iteration timing of every batch size
 /// — a sweep over the autodiff-expanded forward+backward graphs — runs over
 /// `jobs` workers first; the (host-side, inherently sequential) SGD loss
-/// loops then reuse those cycle counts via
-/// [`TrainingSim::train_mlp_with_cycles`].
+/// loops then reuse those cycle counts via [`train_mlp`].
 pub fn run(scale: Scale, jobs: usize) -> Vec<Row> {
     let (samples, epochs, hidden, batches): (usize, usize, usize, Vec<usize>) = match scale {
         Scale::Bench => (512, 2, 64, vec![16, 64]),
         Scale::Full => (4096, 4, 256, vec![32, 256]),
     };
     let cfg = SimConfig::tpu_v3_single_core();
-    let sim = TrainingSim::new(cfg.clone());
     let data = SyntheticMnist::generate(samples, 7);
 
     let specs: Vec<_> = batches.iter().map(|&batch| mlp(batch, hidden)).collect();
     let mut sweep = Sweep::new();
     for spec in &specs {
-        let train_spec = TrainingSim::training_spec(spec).expect("mlp is trainable");
+        let train_spec = training_spec(spec).expect("mlp is trainable");
         sweep.push(SweepPoint::model(train_spec, cfg.clone()));
     }
     let timing = sweep.run(&SweepOptions::with_jobs(jobs)).expect("fig10 timing sweep succeeds");
@@ -60,9 +58,7 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Row> {
         .zip(&timing.results)
         .map(|((batch, spec), point)| {
             let cycles = point.report.total_cycles;
-            let run = sim
-                .train_mlp_with_cycles(&spec, batch, &data, epochs, 0.05, 42, cycles)
-                .expect("trains");
+            let run = train_mlp(&spec, batch, &data, epochs, 0.05, 42, cycles).expect("trains");
             Row { batch, run }
         })
         .collect()

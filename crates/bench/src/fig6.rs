@@ -20,7 +20,7 @@ use crate::Scale;
 use ptsim_common::config::{NocConfig, SimConfig};
 use ptsim_common::json::{Json, ToJson};
 use pytorchsim::baselines::MnpusimLike;
-use pytorchsim::compiler::execute_functional;
+use pytorchsim::compiler::{execute_functional, CompilerOptions};
 use pytorchsim::graph::exec;
 use pytorchsim::models::{self, ModelSpec};
 use pytorchsim::sweep::{Sweep, SweepOptions};
@@ -117,8 +117,8 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Row> {
         .run(&SweepOptions::with_jobs(jobs).with_cache(Arc::clone(&cache)))
         .expect("fig6 warm-up sweep succeeds");
 
-    let sim_sn = Simulator::builder(sn.clone()).shared_cache(Arc::clone(&cache)).build();
-    let sim_cn = Simulator::builder(cn.clone()).shared_cache(Arc::clone(&cache)).build();
+    let sim_sn = Simulator::with_cache(sn.clone(), CompilerOptions::default(), Arc::clone(&cache));
+    let sim_cn = Simulator::with_cache(cn.clone(), CompilerOptions::default(), Arc::clone(&cache));
     specs
         .into_iter()
         .map(|spec| {

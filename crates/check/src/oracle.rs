@@ -31,8 +31,8 @@ use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 use pytorchsim::togsim::{ExecutionBackend, JobSpec, SimReport, TogSim};
 use pytorchsim::trace::{chrome, validate, Tracer};
 use pytorchsim::{
-    ClusterIteration, CompileCache, ModelRequest, RunOptions, RunSpec, ScalingReport, Simulator,
-    TrainingSim,
+    ClusterConfig, ClusterIteration, ClusterSim, CompileCache, ModelRequest, RunOptions, RunSpec,
+    ScalingReport, Simulator,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -94,10 +94,14 @@ fn config_rejection(case: &CheckCase) -> Result<(), String> {
         no_panic("Simulator::run", || Simulator::new(bad.clone()).run(&spec, RunOptions::tls()))?;
     expect_invalid("Simulator::run", r)?;
 
-    let r = no_panic("TrainingSim::iteration_cycles", || {
-        TrainingSim::new(bad.clone()).iteration_cycles(&models::mlp(2, 16))
+    let r = no_panic("ClusterSim::iteration", || {
+        ClusterSim::new(bad.clone(), ClusterConfig::pod_of(1)).iteration(
+            |b| models::mlp(b, 16),
+            2,
+            &RunOptions::tls(),
+        )
     })?;
-    expect_invalid("TrainingSim::iteration_cycles", r)?;
+    expect_invalid("ClusterSim::iteration", r)?;
 
     let mut sweep = Sweep::new();
     sweep.push(SweepPoint::model(spec, bad));
@@ -254,9 +258,9 @@ fn trace_validation(case: &CheckCase) -> Result<(), String> {
     Scheduler::new(policy, case.cfg.npu.cores, case.max_batch)
         .schedule_with_tracer(&reqs, Some(&tracer));
 
-    let sim = Simulator::builder(case.cfg.clone()).tracer(tracer.clone()).build();
+    let sim = Simulator::new(case.cfg.clone());
     let spec = case.workload.spec();
-    no_panic("traced run", || sim.run(&spec, RunOptions::tls()))?
+    no_panic("traced run", || sim.run(&spec, RunOptions::tls().with_tracer(tracer.clone())))?
         .map_err(|e| format!("traced run failed: {e}"))?;
 
     if tracer.dropped() > 0 {

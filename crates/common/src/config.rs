@@ -86,13 +86,6 @@ impl DramConfig {
         }
     }
 
-    /// Same geometry scaled to a fraction of the channels, used by the case
-    /// studies that allocate part of the memory system to a core (§5.1–5.2).
-    pub fn with_channels(mut self, channels: usize) -> Self {
-        self.channels = channels;
-        self
-    }
-
     /// Total peak bandwidth in bytes per core cycle.
     pub fn peak_bytes_per_cycle(&self) -> u64 {
         self.channels as u64 * self.bytes_per_cycle_per_channel
@@ -468,8 +461,8 @@ impl SimConfig {
     }
 
     /// Validates every subsystem. Every build/run entry point of the
-    /// simulation facades (`Simulator`, `TrainingSim`, `ClusterSim`, the
-    /// sweep harness) calls this before touching the engine, so a
+    /// simulation facade (`Simulator` and the `ClusterSim` and sweep
+    /// harness built on it) calls this before touching the engine, so a
     /// degenerate value (`flit_bytes = 0`, `ways = 0`, ...) surfaces as
     /// [`Error::InvalidConfig`] instead of garbage cycles or a panic deep
     /// inside a component model.

@@ -13,11 +13,6 @@ pub const fn ceil_div(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
-/// `usize` version of [`ceil_div`].
-pub const fn ceil_div_usize(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
-}
-
 /// Rounds `a` up to the next multiple of `align`.
 ///
 /// # Panics

@@ -71,11 +71,6 @@ impl CacheKey {
         }
     }
 
-    /// The model name component of the key.
-    pub fn model_name(&self) -> &str {
-        &self.name
-    }
-
     /// The graph-content fingerprint component of the key.
     pub fn graph_fingerprint(&self) -> u64 {
         self.graph_fp
@@ -456,27 +451,13 @@ impl CompileCache {
         compiler: &Compiler,
         spec: &ModelSpec,
     ) -> Result<Arc<CompiledModel>> {
-        self.compile_spec_traced(compiler, spec, None)
+        self.compile_spec_cancellable(compiler, spec, None, None)
     }
 
     /// [`CompileCache::compile_spec`] with per-stage compile spans
     /// recorded on the tracer's compiler track (wall-clock µs relative to
-    /// the start of this compile). A model-level hit records a single
-    /// `compile:hit` instant instead of stage spans.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors.
-    pub fn compile_spec_traced(
-        &self,
-        compiler: &Compiler,
-        spec: &ModelSpec,
-        tracer: Option<&ptsim_trace::Tracer>,
-    ) -> Result<Arc<CompiledModel>> {
-        self.compile_spec_cancellable(compiler, spec, tracer, None)
-    }
-
-    /// [`CompileCache::compile_spec_traced`] with cooperative cancellation:
+    /// the start of this compile; a model-level hit records a single
+    /// `compile:hit` instant instead) and cooperative cancellation:
     /// `cancel` is polled between every artifact stage (capture → plan →
     /// measure+emit), so a fired token unwinds before the next stage
     /// starts. The unwind is an ordinary `Err` through

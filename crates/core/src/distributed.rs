@@ -16,8 +16,9 @@ use ptsim_models::ModelSpec;
 use std::sync::Arc;
 
 use crate::cache::CompileCache;
-use crate::simulator::RunOptions;
-use crate::training::TrainingSim;
+use crate::simulator::{RunOptions, Simulator};
+use crate::training::training_spec;
+use ptsim_compiler::CompilerOptions;
 
 /// The inter-NPU fabric of a multi-NPU system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,69 +88,16 @@ impl ScalingReport {
     }
 }
 
-/// Construction-time configuration of a [`ClusterSim`], mirroring
-/// [`crate::SimulatorBuilder`].
-#[derive(Debug, Clone)]
-pub struct ClusterSimBuilder {
-    npu: SimConfig,
-    cluster: ClusterConfig,
-    run: RunOptions,
-    cache: Option<Arc<CompileCache>>,
-}
-
-impl ClusterSimBuilder {
-    /// Run options (fidelity, tracer, safety limit) of the per-NPU TOGSim
-    /// runs. The tracer additionally records all-reduce phase spans on the
-    /// cluster track.
-    #[must_use]
-    pub fn run_options(mut self, run: RunOptions) -> Self {
-        self.run = run;
-        self
-    }
-
-    /// Tracer shorthand — see [`ClusterSimBuilder::run_options`].
-    #[must_use]
-    pub fn tracer(mut self, tracer: Arc<ptsim_trace::Tracer>) -> Self {
-        self.run.tracer = Some(tracer);
-        self
-    }
-
-    /// Shares an existing compile cache between the per-NPU training
-    /// simulations (and any other simulator holding the same cache).
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<CompileCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Builds the cluster simulator.
-    pub fn build(self) -> ClusterSim {
-        ClusterSim {
-            npu: self.npu,
-            cluster: self.cluster,
-            run: self.run,
-            cache: self.cache.unwrap_or_default(),
-        }
-    }
-}
-
 /// Simulates data-parallel training over a cluster of identical NPUs.
 pub struct ClusterSim {
-    npu: SimConfig,
+    sim: Simulator,
     cluster: ClusterConfig,
-    run: RunOptions,
-    cache: Arc<CompileCache>,
 }
 
 impl ClusterSim {
     /// Creates a cluster of `cluster.npus` NPUs of configuration `npu`.
     pub fn new(npu: SimConfig, cluster: ClusterConfig) -> Self {
-        ClusterSim::builder(npu, cluster).build()
-    }
-
-    /// Starts construction-time configuration.
-    pub fn builder(npu: SimConfig, cluster: ClusterConfig) -> ClusterSimBuilder {
-        ClusterSimBuilder { npu, cluster, run: RunOptions::default(), cache: None }
+        ClusterSim { sim: Simulator::new(npu), cluster }
     }
 
     /// Ring all-reduce cycles for `bytes` of gradients: each NPU sends
@@ -160,7 +108,7 @@ impl ClusterSim {
         if n <= 1 {
             return 0;
         }
-        let freq = self.npu.npu.freq_mhz;
+        let freq = self.sim.config().npu.freq_mhz;
         let bytes_per_cycle = self.cluster.link_gbps * 1e9 / (freq * 1e6);
         let volume = 2 * (n - 1) * bytes / n;
         let transfer = (volume as f64 / bytes_per_cycle).ceil() as u64;
@@ -169,8 +117,10 @@ impl ClusterSim {
     }
 
     /// Times one data-parallel iteration of `global_batch` split evenly
-    /// across the NPUs (the per-shard forward+backward runs on TOGSim; the
-    /// gradient volume is the model's parameter bytes).
+    /// across the NPUs under `opts`: the per-shard forward+backward pass
+    /// is an ordinary [`Simulator::run`] of its [`training_spec`], and the
+    /// gradient volume is the model's parameter bytes. A tracer in `opts`
+    /// also receives each rank's all-reduce phase spans.
     ///
     /// # Errors
     ///
@@ -180,24 +130,20 @@ impl ClusterSim {
         &self,
         make_model: impl Fn(usize) -> ModelSpec,
         global_batch: usize,
+        opts: &RunOptions,
     ) -> Result<ClusterIteration> {
-        self.npu.validate()?;
+        self.sim.config().validate()?;
         let n = self.cluster.npus;
         if !global_batch.is_multiple_of(n) || global_batch == 0 {
             return Err(Error::InvalidConfig(format!(
                 "global batch {global_batch} does not split across {n} NPUs"
             )));
         }
-        let shard = global_batch / n;
-        let spec = make_model(shard);
-        let sim = TrainingSim::builder(self.npu.clone())
-            .run_options(self.run.clone())
-            .shared_cache(Arc::clone(&self.cache))
-            .build();
-        let compute_cycles = sim.iteration_cycles(&spec)?;
+        let spec = make_model(global_batch / n);
+        let compute_cycles = self.sim.run(&training_spec(&spec)?, opts.clone())?.total_cycles;
         let grad_bytes = (spec.param_count() * 4) as u64;
         let allreduce_cycles = self.allreduce_cycles(grad_bytes);
-        if let Some(t) = &self.run.tracer {
+        if let Some(t) = &opts.tracer {
             if allreduce_cycles > 0 {
                 // The ring collective splits evenly: N−1 reduce-scatter
                 // steps followed by N−1 all-gather steps of equal volume.
@@ -246,10 +192,15 @@ impl ClusterSim {
         let cache = CompileCache::shared();
         let mut points = Vec::new();
         for &n in npu_counts {
-            let sim = ClusterSim::builder(npu.clone(), ClusterConfig { npus: n, ..base })
-                .shared_cache(Arc::clone(&cache))
-                .build();
-            points.push((n, sim.iteration(make_model, global_batch)?));
+            let cluster = ClusterSim {
+                sim: Simulator::with_cache(
+                    npu.clone(),
+                    CompilerOptions::default(),
+                    Arc::clone(&cache),
+                ),
+                cluster: ClusterConfig { npus: n, ..base },
+            };
+            points.push((n, cluster.iteration(make_model, global_batch, &RunOptions::tls())?));
         }
         Ok(ScalingReport { points })
     }
@@ -258,6 +209,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptsim_common::CancelToken;
     use ptsim_models::mlp;
 
     fn tiny() -> SimConfig {
@@ -268,7 +220,7 @@ mod tests {
     fn single_npu_has_no_allreduce() {
         let sim = ClusterSim::new(tiny(), ClusterConfig { npus: 1, ..ClusterConfig::pod_of(1) });
         assert_eq!(sim.allreduce_cycles(1 << 20), 0);
-        let it = sim.iteration(|b| mlp(b, 32), 16).unwrap();
+        let it = sim.iteration(|b| mlp(b, 32), 16, &RunOptions::tls()).unwrap();
         assert_eq!(it.allreduce_cycles, 0);
         assert!(it.compute_cycles > 0);
     }
@@ -323,13 +275,27 @@ mod tests {
         let mut cfg = tiny();
         cfg.noc.flit_bytes = 0;
         let sim = ClusterSim::new(cfg, ClusterConfig::pod_of(2));
-        let err = sim.iteration(|b| mlp(b, 32), 16).unwrap_err();
+        let err = sim.iteration(|b| mlp(b, 32), 16, &RunOptions::tls()).unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn pre_cancelled_iteration_stops_before_compiling() {
+        // The shard's training graph compiles through the same path as
+        // `Simulator::run`, so a fired token unwinds at the first compile
+        // stage and nothing is cached.
+        let sim = ClusterSim::new(tiny(), ClusterConfig::pod_of(1));
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = RunOptions::tls().with_cancel(token);
+        let err = sim.iteration(|b| mlp(b, 32), 16, &opts).unwrap_err();
+        assert!(matches!(err, Error::Cancelled { phase: "compile:capture", .. }), "{err}");
+        assert_eq!(sim.sim.cache_len(), 0);
     }
 
     #[test]
     fn uneven_batches_are_rejected() {
         let sim = ClusterSim::new(tiny(), ClusterConfig::pod_of(3));
-        assert!(sim.iteration(|b| mlp(b, 32), 16).is_err());
+        assert!(sim.iteration(|b| mlp(b, 32), 16, &RunOptions::tls()).is_err());
     }
 }

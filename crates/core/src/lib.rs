@@ -57,9 +57,9 @@ pub use cache::{CacheKey, CompileCache, CompileCacheStats, StageStats};
 pub use distributed::{ClusterConfig, ClusterIteration, ClusterSim, ScalingReport};
 pub use ptsim_togsim::ExecutionBackend;
 pub use runspec::{FidelitySpec, ModelRequest, RunSpec};
-pub use simulator::{RunOptions, Simulator, SimulatorBuilder};
+pub use simulator::{RunOptions, Simulator};
 pub use sweep::{Sweep, SweepOptions, SweepPoint, SweepReport};
-pub use training::{TrainingRun, TrainingSim};
+pub use training::{train_mlp, training_spec, TrainingRun};
 
 // Compile-time thread-safety audit: everything the sweep harness shares
 // across worker threads (or moves into them) must be Send + Sync. A type
@@ -68,12 +68,11 @@ pub use training::{TrainingRun, TrainingSim};
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Simulator>();
-    assert_send_sync::<SimulatorBuilder>();
     assert_send_sync::<RunOptions>();
     assert_send_sync::<CompileCache>();
     assert_send_sync::<Sweep>();
     assert_send_sync::<SweepReport>();
-    assert_send_sync::<TrainingSim>();
+    assert_send_sync::<TrainingRun>();
     assert_send_sync::<ClusterSim>();
     assert_send_sync::<ptsim_compiler::CompiledModel>();
     assert_send_sync::<ptsim_tog::ExecutableTog>();

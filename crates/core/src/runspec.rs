@@ -444,37 +444,24 @@ impl RunSpec {
     ///
     /// Validation, compilation, or simulation failures.
     pub fn run(&self, cache: &Arc<CompileCache>) -> Result<SimReport> {
-        self.run_with_cancel(cache, None)
+        self.run_observed(cache, None, None)
     }
 
-    /// [`RunSpec::run`] with cooperative cancellation: `cancel` is polled
-    /// through every layer of the run (compile stages and the engine step
-    /// loop), so a fired token unwinds with
-    /// [`Error::Cancelled`] instead of finishing the simulation. This is
-    /// how `ptsim-serve` enforces `deadline_ms` on in-flight runs.
-    ///
-    /// # Errors
-    ///
-    /// As [`RunSpec::run`], plus [`Error::Cancelled`] once `cancel` fires.
-    pub fn run_with_cancel(
-        &self,
-        cache: &Arc<CompileCache>,
-        cancel: Option<&ptsim_common::CancelToken>,
-    ) -> Result<SimReport> {
-        self.run_observed(cache, cancel, None)
-    }
-
-    /// [`RunSpec::run_with_cancel`] with an optional [`CounterHub`]
-    /// attached to the run, so callers honouring the spec's `profile` flag
-    /// (the serve execute path) can collect cycle-resolved counters without
-    /// re-deriving run options themselves. Counters only observe; the
-    /// returned report is bit-identical with or without a hub.
+    /// [`RunSpec::run`] with cooperative cancellation and an optional
+    /// [`CounterHub`]. `cancel` is polled through every layer of the run
+    /// (compile stages and the engine step loop), so a fired token unwinds
+    /// with [`Error::Cancelled`] instead of finishing the simulation; this
+    /// is how `ptsim-serve` enforces `deadline_ms` on in-flight runs. The
+    /// hub lets callers honouring the spec's `profile` flag (the serve
+    /// execute path) collect cycle-resolved counters without re-deriving
+    /// run options themselves. Counters only observe; the returned report
+    /// is bit-identical with or without a hub.
     ///
     /// [`CounterHub`]: ptsim_obs::CounterHub
     ///
     /// # Errors
     ///
-    /// As [`RunSpec::run_with_cancel`].
+    /// As [`RunSpec::run`], plus [`Error::Cancelled`] once `cancel` fires.
     pub fn run_observed(
         &self,
         cache: &Arc<CompileCache>,
@@ -483,10 +470,8 @@ impl RunSpec {
     ) -> Result<SimReport> {
         self.validate()?;
         let spec = self.model.build()?;
-        let sim = Simulator::builder(self.config.clone())
-            .compiler_options(self.options.clone())
-            .shared_cache(Arc::clone(cache))
-            .build();
+        let sim =
+            Simulator::with_cache(self.config.clone(), self.options.clone(), Arc::clone(cache));
         let mut run = self.run_options();
         run.cancel = cancel.cloned();
         run.counters = counters;

@@ -1,24 +1,13 @@
 //! The top-level simulator facade.
 //!
-//! # API migration
-//!
-//! The historical `run_inference*` trio collapsed into one entry point,
-//! [`Simulator::run`], configured by [`RunOptions`]:
-//!
-//! | old method (removed)              | replacement                                |
-//! |-----------------------------------|--------------------------------------------|
-//! | `run_inference(spec)`             | `run(spec, RunOptions::tls())`             |
-//! | `run_inference_ils(spec)`         | `run(spec, RunOptions::ils())`             |
-//! | `set_tracer(t)` after `new`       | `Simulator::builder(cfg).tracer(t).build()`|
-//! | `TogSim::run_reference()`         | `run_with(ExecutionBackend::Reference)`    |
-//!
-//! The `#[deprecated]` 0.2.0 shims for these are gone; the table stays for
-//! readers migrating old call sites. [`RunOptions`] also selects the host
-//! [`ExecutionBackend`] (the serial event kernel or the legacy reference
-//! loop) — both are bit-identical in simulated results.
-//! `run` takes `&self`: the compile cache is interior-locked and
-//! shareable, so one `Simulator` (or one [`crate::CompileCache`] across
-//! many) can serve concurrent sweep workers — see [`crate::sweep`].
+//! [`Simulator::run`], configured by [`RunOptions`], is the one way to run
+//! a model: inference, a training iteration (the autodiff-extended graph
+//! of [`crate::training::training_spec`]), every sweep point and every NPU
+//! of a [`crate::ClusterSim`] go through the same compile-and-simulate
+//! path, so a [`RunOptions`] means the same thing everywhere. `run` takes
+//! `&self`: the compile cache is interior-locked and shareable, so one
+//! `Simulator` (or one [`crate::CompileCache`] across many) can serve
+//! concurrent sweep workers — see [`crate::sweep`].
 
 use crate::cache::CompileCache;
 use ptsim_common::config::SimConfig;
@@ -26,6 +15,7 @@ use ptsim_common::{CancelToken, Cycle, Result};
 use ptsim_compiler::{execute_functional, CompiledModel, Compiler, CompilerOptions};
 use ptsim_models::ModelSpec;
 use ptsim_tensor::Tensor;
+use ptsim_tog::ExecutableTog;
 use ptsim_togsim::{ExecutionBackend, Fidelity, JobSpec, SimReport, TogSim};
 use std::sync::Arc;
 
@@ -40,7 +30,7 @@ pub struct RunOptions {
     /// values are bit-identical in simulated results; they differ only in
     /// how the host executes the run.
     pub backend: ExecutionBackend,
-    /// Per-run tracer; overrides the simulator's construction-time tracer.
+    /// Per-run tracer: compile spans and simulation events of this run.
     pub tracer: Option<Arc<ptsim_trace::Tracer>>,
     /// Simulation-length safety limit in cycles, when set.
     pub max_cycles: Option<u64>,
@@ -134,79 +124,6 @@ impl RunOptions {
     }
 }
 
-/// A TOGSim configured by `opts`: fidelity, tracer (a per-run tracer wins
-/// over the facade's `default_tracer`), safety limit, and metrics applied.
-/// One construction path shared by the inference, tenancy, sweep, and
-/// training facades, so a [`RunOptions`] means the same thing everywhere.
-pub(crate) fn build_togsim(
-    cfg: &SimConfig,
-    opts: &RunOptions,
-    default_tracer: Option<&Arc<ptsim_trace::Tracer>>,
-) -> TogSim {
-    let mut sim = TogSim::new(cfg).with_fidelity(opts.fidelity);
-    if let Some(limit) = opts.max_cycles {
-        sim.set_max_cycles(limit);
-    }
-    if let Some(t) = opts.tracer.as_ref().or(default_tracer) {
-        sim.set_tracer(Arc::clone(t));
-    }
-    if let Some(m) = &opts.metrics {
-        sim.set_metrics(m);
-    }
-    if let Some(c) = &opts.counters {
-        sim.set_counters(Arc::clone(c));
-    }
-    if let Some(token) = &opts.cancel {
-        sim.set_cancel(token.clone());
-    }
-    sim
-}
-
-/// Construction-time configuration of a [`Simulator`].
-#[derive(Debug, Clone, Default)]
-pub struct SimulatorBuilder {
-    cfg: SimConfig,
-    opts: CompilerOptions,
-    tracer: Option<Arc<ptsim_trace::Tracer>>,
-    cache: Option<Arc<CompileCache>>,
-}
-
-impl SimulatorBuilder {
-    /// Compiler options (for the §5.3 optimization studies).
-    #[must_use]
-    pub fn compiler_options(mut self, opts: CompilerOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Default tracer for every run (a per-run [`RunOptions::tracer`]
-    /// takes precedence).
-    #[must_use]
-    pub fn tracer(mut self, tracer: Arc<ptsim_trace::Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Shares an existing compile cache instead of creating a private one,
-    /// so identical (model, batch, config, options) points compile once
-    /// across simulators and threads.
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<CompileCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Builds the simulator.
-    pub fn build(self) -> Simulator {
-        Simulator {
-            compiler: Compiler::new(self.cfg.clone(), self.opts),
-            cfg: self.cfg,
-            cache: self.cache.unwrap_or_default(),
-            tracer: self.tracer,
-        }
-    }
-}
-
 /// A complete PyTorchSim instance: compiler, compile cache, and simulators
 /// for a fixed NPU configuration.
 ///
@@ -218,7 +135,6 @@ pub struct Simulator {
     cfg: SimConfig,
     compiler: Compiler,
     cache: Arc<CompileCache>,
-    tracer: Option<Arc<ptsim_trace::Tracer>>,
 }
 
 impl Simulator {
@@ -230,13 +146,14 @@ impl Simulator {
     /// Creates a simulator with explicit compiler options (for the §5.3
     /// optimization studies).
     pub fn with_options(cfg: SimConfig, opts: CompilerOptions) -> Self {
-        Simulator::builder(cfg).compiler_options(opts).build()
+        Self::with_cache(cfg, opts, CompileCache::shared())
     }
 
-    /// Starts construction-time configuration: compiler options, tracer,
-    /// and cache sharing.
-    pub fn builder(cfg: SimConfig) -> SimulatorBuilder {
-        SimulatorBuilder { cfg, ..SimulatorBuilder::default() }
+    /// Creates a simulator that shares `cache` instead of owning a private
+    /// one, so identical (model, batch, config, options) points compile
+    /// once across simulators and threads.
+    pub fn with_cache(cfg: SimConfig, opts: CompilerOptions, cache: Arc<CompileCache>) -> Self {
+        Simulator { compiler: Compiler::new(cfg.clone(), opts), cfg, cache }
     }
 
     /// The NPU configuration.
@@ -250,14 +167,9 @@ impl Simulator {
     }
 
     /// The compile cache (private by default, shared when built with
-    /// [`SimulatorBuilder::shared_cache`]).
+    /// [`Simulator::with_cache`]).
     pub fn cache(&self) -> &Arc<CompileCache> {
         &self.cache
-    }
-
-    /// The construction-time tracer, if any.
-    pub fn tracer(&self) -> Option<&Arc<ptsim_trace::Tracer>> {
-        self.tracer.as_ref()
     }
 
     /// Compiles (or fetches from the cache) a model.
@@ -267,23 +179,23 @@ impl Simulator {
     /// Returns [`ptsim_common::Error::InvalidConfig`] for a degenerate NPU
     /// configuration, or an error if lowering fails.
     pub fn compile(&self, spec: &ModelSpec) -> Result<Arc<CompiledModel>> {
-        self.compile_with_cancel(spec, None)
+        self.compile_for(spec, &RunOptions::default())
     }
 
-    /// [`Simulator::compile`] with cooperative cancellation polled between
-    /// the artifact stages.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::compile`], plus [`ptsim_common::Error::Cancelled`]
-    /// if `cancel` fires between stages.
-    pub fn compile_with_cancel(
+    /// [`Simulator::compile`] under `opts`: compile spans go to its tracer
+    /// and its cancel token is polled between the artifact stages.
+    pub(crate) fn compile_for(
         &self,
         spec: &ModelSpec,
-        cancel: Option<&CancelToken>,
+        opts: &RunOptions,
     ) -> Result<Arc<CompiledModel>> {
         self.cfg.validate()?;
-        self.cache.compile_spec_cancellable(&self.compiler, spec, self.tracer.as_deref(), cancel)
+        self.cache.compile_spec_cancellable(
+            &self.compiler,
+            spec,
+            opts.tracer.as_deref(),
+            opts.cancel.as_ref(),
+        )
     }
 
     /// Number of cached compiled models (over the whole shared cache).
@@ -291,24 +203,14 @@ impl Simulator {
         self.cache.len()
     }
 
-    /// Runs one inference of `spec` under `opts` — the single entry point
-    /// replacing the `run_inference*` trio (see the module docs for the
-    /// migration table).
+    /// Compiles `spec` (through the cache) and simulates one run of it
+    /// under `opts`.
     ///
     /// # Errors
     ///
     /// Returns an error if compilation or simulation fails.
     pub fn run(&self, spec: &ModelSpec, opts: RunOptions) -> Result<SimReport> {
-        self.cfg.validate()?;
-        // A per-run tracer wins over the construction-time default, for
-        // compile spans exactly as for simulation events.
-        let tracer = opts.tracer.as_deref().or(self.tracer.as_deref());
-        let model = self.cache.compile_spec_cancellable(
-            &self.compiler,
-            spec,
-            tracer,
-            opts.cancel.as_ref(),
-        )?;
+        let model = self.compile_for(spec, &opts)?;
         self.run_compiled(&model, &opts)
     }
 
@@ -319,16 +221,7 @@ impl Simulator {
     /// Returns [`ptsim_common::Error::InvalidConfig`] for a degenerate NPU
     /// configuration, or an error if simulation fails.
     pub fn run_compiled(&self, model: &CompiledModel, opts: &RunOptions) -> Result<SimReport> {
-        self.cfg.validate()?;
-        let mut sim = self.new_togsim(opts);
-        sim.add_shared_job(Arc::new(model.tog.clone()), JobSpec::default());
-        sim.run_with(opts.backend)
-    }
-
-    /// A TOGSim configured for one run: fidelity, tracer (per-run wins
-    /// over construction-time), safety limit, and metrics applied.
-    pub(crate) fn new_togsim(&self, opts: &RunOptions) -> TogSim {
-        build_togsim(&self.cfg, opts, self.tracer.as_ref())
+        self.run_jobs(vec![(Arc::new(model.tog.clone()), JobSpec::default())], opts)
     }
 
     /// Runs several compiled models concurrently (multi-model tenancy,
@@ -341,20 +234,51 @@ impl Simulator {
         &self,
         tenants: &[(Arc<CompiledModel>, usize, usize, u32, Cycle)],
     ) -> Result<SimReport> {
-        self.cfg.validate()?;
-        let mut sim = self.new_togsim(&RunOptions::tls());
-        for (model, core_offset, cores, tag, start_at) in tenants {
-            sim.add_shared_job(
-                Arc::new(model.tog.clone()),
-                JobSpec {
+        let jobs = tenants
+            .iter()
+            .map(|(model, core_offset, cores, tag, start_at)| {
+                let placement = JobSpec {
                     core_offset: *core_offset,
                     cores: *cores,
                     tag: *tag,
                     start_at: *start_at,
-                },
-            );
+                };
+                (Arc::new(model.tog.clone()), placement)
+            })
+            .collect();
+        self.run_jobs(jobs, &RunOptions::tls())
+    }
+
+    /// The one simulation path: a TOGSim for this configuration with every
+    /// [`RunOptions`] field applied (fidelity, safety limit, tracer,
+    /// metrics, counters, cancel token), loaded with `jobs` and run on
+    /// `opts.backend`.
+    pub(crate) fn run_jobs(
+        &self,
+        jobs: Vec<(Arc<ExecutableTog>, JobSpec)>,
+        opts: &RunOptions,
+    ) -> Result<SimReport> {
+        self.cfg.validate()?;
+        let mut sim = TogSim::new(&self.cfg).with_fidelity(opts.fidelity);
+        if let Some(limit) = opts.max_cycles {
+            sim.set_max_cycles(limit);
         }
-        sim.run()
+        if let Some(t) = &opts.tracer {
+            sim.set_tracer(Arc::clone(t));
+        }
+        if let Some(m) = &opts.metrics {
+            sim.set_metrics(m);
+        }
+        if let Some(c) = &opts.counters {
+            sim.set_counters(Arc::clone(c));
+        }
+        if let Some(token) = &opts.cancel {
+            sim.set_cancel(token.clone());
+        }
+        for (tog, placement) in jobs {
+            sim.add_shared_job(tog, placement);
+        }
+        sim.run_with(opts.backend)
     }
 
     /// Executes `spec` functionally on the NPU (compiled kernels +
@@ -486,10 +410,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_shares_cache_between_simulators() {
-        let cache = crate::CompileCache::shared();
-        let a = Simulator::builder(SimConfig::tiny()).shared_cache(Arc::clone(&cache)).build();
-        let b = Simulator::builder(SimConfig::tiny()).shared_cache(Arc::clone(&cache)).build();
+    fn with_cache_shares_models_between_simulators() {
+        let cache = CompileCache::shared();
+        let a = Simulator::with_cache(
+            SimConfig::tiny(),
+            CompilerOptions::default(),
+            Arc::clone(&cache),
+        );
+        let b = Simulator::with_cache(
+            SimConfig::tiny(),
+            CompilerOptions::default(),
+            Arc::clone(&cache),
+        );
         let spec = gemm(16);
         let ma = a.compile(&spec).unwrap();
         let mb = b.compile(&spec).unwrap();

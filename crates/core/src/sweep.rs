@@ -155,13 +155,6 @@ impl SweepPoint {
         self
     }
 
-    /// Adds a further job to the point.
-    #[must_use]
-    pub fn with_job(mut self, source: JobSource, placement: JobSpec) -> Self {
-        self.jobs.push(SweepJob { source, placement });
-        self
-    }
-
     /// Executes this point against a shared compile cache. A sweep-level
     /// `cancel` token (from [`SweepOptions::cancel`]) is checked before
     /// the point starts and threaded into its compile and simulation; a
@@ -179,24 +172,19 @@ impl SweepPoint {
         if let Some(token) = &run.cancel {
             token.checkpoint(0, "sweep")?;
         }
-        self.cfg.validate()?;
-        let sim = Simulator::builder(self.cfg.clone())
-            .compiler_options(self.opts.clone())
-            .shared_cache(Arc::clone(cache))
-            .build();
-        let mut togsim = sim.new_togsim(&run);
-        for job in &self.jobs {
-            match &job.source {
-                JobSource::Spec(spec) => {
-                    let model = sim.compile_with_cancel(spec, run.cancel.as_ref())?;
-                    togsim.add_shared_job(Arc::new(model.tog.clone()), job.placement.clone());
-                }
-                JobSource::Tog(tog) => {
-                    togsim.add_shared_job(Arc::clone(tog), job.placement.clone());
-                }
-            }
-        }
-        let report = togsim.run_with(run.backend)?;
+        let sim = Simulator::with_cache(self.cfg.clone(), self.opts.clone(), Arc::clone(cache));
+        let jobs = self
+            .jobs
+            .iter()
+            .map(|job| {
+                let tog = match &job.source {
+                    JobSource::Spec(spec) => Arc::new(sim.compile_for(spec, &run)?.tog.clone()),
+                    JobSource::Tog(tog) => Arc::clone(tog),
+                };
+                Ok((tog, job.placement.clone()))
+            })
+            .collect::<Result<_>>()?;
+        let report = sim.run_jobs(jobs, &run)?;
         Ok(PointResult {
             label: self.label.clone(),
             report,

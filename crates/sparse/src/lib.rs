@@ -94,13 +94,6 @@ pub struct LoweredSpmspm {
     pub result: CsrMatrix,
 }
 
-impl LoweredSpmspm {
-    /// Total multiplies across tiles.
-    pub fn total_muls(&self) -> u64 {
-        self.tiles.iter().map(|t| t.muls).sum()
-    }
-}
-
 /// Lowers SpMSpM operations to tiles with offline data-dependent latencies
 /// (the external-pass TOG generation route of §3.6.2).
 #[derive(Debug, Clone, Copy)]

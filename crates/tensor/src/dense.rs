@@ -93,15 +93,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Uniform random tensor in `[lo, hi)` from a deterministic seed.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, seed: u64) -> Self {
-        let shape = shape.into();
-        let mut rng = Rng::seed_from_u64(seed);
-        let n = shape.numel();
-        let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor { shape, data }
-    }
-
     /// A 1-D tensor of the integers `0..n` as `f32`.
     pub fn arange(n: usize) -> Self {
         Tensor { shape: Shape::new(vec![n]), data: (0..n).map(|i| i as f32).collect() }
@@ -130,11 +121,6 @@ impl Tensor {
     /// Mutable access to the underlying storage.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its storage.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-dimensional index.

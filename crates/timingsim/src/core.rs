@@ -140,12 +140,6 @@ impl TimingSim {
         }
     }
 
-    /// Overrides the default timing parameters.
-    pub fn with_params(mut self, params: TimingParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Overrides the runaway-loop guard.
     pub fn set_max_steps(&mut self, max_steps: u64) {
         self.max_steps = max_steps;

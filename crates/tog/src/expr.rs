@@ -36,11 +36,6 @@ impl AddrExpr {
                 .map(|&(v, s)| s * binding.get(&v).copied().unwrap_or(0))
                 .sum::<u64>()
     }
-
-    /// The loop variables this expression reads.
-    pub fn vars(&self) -> impl Iterator<Item = u32> + '_ {
-        self.terms.iter().map(|&(v, _)| v)
-    }
 }
 
 #[cfg(test)]

@@ -32,11 +32,9 @@
 //! # Ok::<(), ptsim_common::Error>(())
 //! ```
 
-pub mod cache;
 pub mod expr;
 pub mod graph;
 
-pub use cache::TogCache;
 pub use expr::AddrExpr;
 pub use graph::{
     ExecUnit, ExecutableTog, FlatNode, FlatNodeKind, Tog, TogBuilder, TogItem, TogOp, TogOpKind,

@@ -70,15 +70,6 @@ impl SimReport {
     pub fn latency(&self) -> u64 {
         self.jobs[0].cycles()
     }
-
-    /// Matrix-unit utilization over the run, per core, in [0, 1].
-    pub fn matrix_utilization(&self, cores: usize) -> f64 {
-        if self.total_cycles == 0 || cores == 0 {
-            0.0
-        } else {
-            self.matrix_busy as f64 / (self.total_cycles * cores as u64) as f64
-        }
-    }
 }
 
 impl ToJson for JobReport {

@@ -13,17 +13,18 @@
 
 use ptsim_common::config::SimConfig;
 use pytorchsim::models::{mlp, SyntheticMnist};
-use pytorchsim::TrainingSim;
+use pytorchsim::{train_mlp, training_spec, RunOptions, Simulator};
 
 fn main() -> ptsim_common::Result<()> {
-    let sim = TrainingSim::new(SimConfig::tpu_v3_single_core());
+    let sim = Simulator::new(SimConfig::tpu_v3_single_core());
     let data = SyntheticMnist::generate(2048, 7);
     println!("dataset: {} synthetic samples, 10 classes", data.len());
 
     let mut rows = Vec::new();
     for &batch in &[32usize, 256] {
         let spec = mlp(batch, 256);
-        let run = sim.train_mlp(&spec, batch, &data, 3, 0.05, 42)?;
+        let cycles = sim.run(&training_spec(&spec)?, RunOptions::tls())?.total_cycles;
+        let run = train_mlp(&spec, batch, &data, 3, 0.05, 42, cycles)?;
         println!("\nbatch {batch}: {} iterations", run.iterations);
         println!("  per-iteration: {} cycles", run.cycles_per_iteration);
         println!(

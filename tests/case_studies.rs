@@ -154,10 +154,13 @@ fn conv_layout_optimization_helps_batch_one() {
 /// §5.5 — larger batches cost more per iteration but amortize weight reuse.
 #[test]
 fn training_batch_size_timing_tradeoff() {
-    use pytorchsim::TrainingSim;
-    let sim = TrainingSim::new(SimConfig::tiny());
-    let small = sim.iteration_cycles(&models::mlp(4, 32)).unwrap();
-    let large = sim.iteration_cycles(&models::mlp(16, 32)).unwrap();
+    let sim = Simulator::new(SimConfig::tiny());
+    let iteration_cycles = |spec| {
+        let train = pytorchsim::training_spec(&spec).unwrap();
+        sim.run(&train, pytorchsim::RunOptions::tls()).unwrap().total_cycles
+    };
+    let small = iteration_cycles(models::mlp(4, 32));
+    let large = iteration_cycles(models::mlp(16, 32));
     assert!(large > small);
     assert!(large < 4 * small, "per-sample cost must drop with batch: {small} -> {large}");
 }

@@ -4,18 +4,19 @@
 
 use ptsim_common::config::SimConfig;
 use pytorchsim::models;
-use pytorchsim::trace::{chrome, validate, EventData, Tracer};
+use pytorchsim::trace::{chrome, validate, EventData, Tracer, Track};
 use pytorchsim::{ClusterConfig, ClusterSim, RunOptions, Simulator};
 
 #[test]
 fn bert_run_exports_a_valid_perfetto_trace() {
     let tracer = Tracer::shared();
-    let sim = Simulator::builder(SimConfig::tiny()).tracer(tracer.clone()).build();
+    let sim = Simulator::new(SimConfig::tiny());
     // A depth-reduced BERT-Base: the full encoder block (attention +
     // FFN + layernorms) at real widths, truncated to 2 layers so the
     // test stays fast while exercising every instrumented layer.
     let cfg = models::BertConfig { layers: 2, ..models::BertConfig::base(32, 1) };
-    let report = sim.run(&models::bert(cfg, "bert_base"), RunOptions::tls()).unwrap();
+    let opts = RunOptions::tls().with_tracer(tracer.clone());
+    let report = sim.run(&models::bert(cfg, "bert_base"), opts).unwrap();
     assert!(report.total_cycles > 0);
 
     // The run touched every instrumented layer.
@@ -49,10 +50,9 @@ fn disabled_tracer_records_nothing_on_hot_paths() {
 #[test]
 fn cluster_iteration_traces_both_allreduce_phases() {
     let tracer = Tracer::shared();
-    let sim = ClusterSim::builder(SimConfig::tiny(), ClusterConfig::pod_of(4))
-        .tracer(tracer.clone())
-        .build();
-    sim.iteration(|b| models::mlp(b, 32), 16).unwrap();
+    let sim = ClusterSim::new(SimConfig::tiny(), ClusterConfig::pod_of(4));
+    let opts = RunOptions::tls().with_tracer(tracer.clone());
+    sim.iteration(|b| models::mlp(b, 32), 16, &opts).unwrap();
 
     let events = tracer.events();
     let phases: Vec<(&str, u32)> = events
@@ -70,6 +70,17 @@ fn cluster_iteration_traces_both_allreduce_phases() {
         phases.iter().filter(|(p, _)| *p == "allGather").map(|&(_, t)| t).collect();
     assert_eq!(scatters, [0, 1, 2, 3]);
     assert_eq!(gathers, [0, 1, 2, 3]);
+    // The shard's training graph compiles through the traced run path, so
+    // its compile stages land on the same tracer.
+    let compile_stages: Vec<&str> = events
+        .iter()
+        .filter(|e| e.track == Track::Compiler)
+        .filter_map(|e| match &e.data {
+            EventData::Marker { label } => Some(label.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(compile_stages, ["compile:capture", "compile:plan", "compile:measure+emit"]);
 
     let json = chrome::export_chrome_trace(&events);
     let check = validate::validate_chrome_trace(&json).expect("trace must validate");
