@@ -3,6 +3,10 @@
 //! in `tests/goldens/`. Wall-clock fields are left out. A mismatch prints
 //! the new rendering; a change that moves results on purpose commits it as
 //! the new golden and names every moved number.
+//!
+//! The `*.json` goldens pin the `--json` output of the figures with no
+//! wall-clock field byte for byte, so a change to how a report record is
+//! rendered (key order, number format) shows here too.
 
 use ptsim_bench::{fig10, fig5, fig7, fig8, fig9, Scale};
 use ptsim_common::config::SimConfig;
@@ -97,6 +101,40 @@ fn fig5_node_cycles_are_fresh_kernel_measurements() {
             }
         }
     }
+}
+
+/// `ptsim <args> --json`, compared byte for byte with `goldens/<name>.json`.
+fn check_json_output(name: &str, args: &[&str], golden: &str) {
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_ptsim")).args(args).arg("--json").output().expect("runs");
+    assert!(out.status.success(), "ptsim {args:?} --json failed");
+    let rendered = String::from_utf8(out.stdout).expect("utf-8 output");
+    check(name, golden, &rendered);
+}
+
+#[test]
+fn fig5_json_matches_golden() {
+    check_json_output("fig5", &["fig5", "--bench"], include_str!("goldens/fig5.json"));
+}
+
+#[test]
+fn fig8_json_matches_golden() {
+    check_json_output("fig8", &["fig8", "--bench"], include_str!("goldens/fig8.json"));
+}
+
+#[test]
+fn fig9_json_matches_golden() {
+    check_json_output("fig9", &["fig9", "--bench"], include_str!("goldens/fig9.json"));
+}
+
+#[test]
+fn fig10_json_matches_golden() {
+    check_json_output("fig10", &["fig10", "--bench"], include_str!("goldens/fig10.json"));
+}
+
+#[test]
+fn table1_json_matches_golden() {
+    check_json_output("table1", &["table1"], include_str!("goldens/table1.json"));
 }
 
 /// Table 1 has no scale: the committed report is its golden.

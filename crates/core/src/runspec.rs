@@ -844,6 +844,31 @@ mod tests {
         assert_eq!(cases, 7 * 3 * 2 * 2 * 2);
     }
 
+    /// Fingerprints of four canonical renderings, pinned. A change to how
+    /// any config or options record renders (a key renamed, reordered,
+    /// dropped or re-formatted) re-keys every result cache and shows here.
+    /// The third spec sets every optional subtree, which no figure reaches.
+    #[test]
+    fn canonical_fingerprints_are_pinned() {
+        use ptsim_common::config::{ChipletLinkConfig, L1CacheConfig, MemSchedulerPolicy, NocKind};
+        let gemm = || RunSpec::new(ModelRequest::Gemm { n: 16 });
+        let mut full = SimConfig::tpu_v3();
+        full.npu.l1_cache = Some(L1CacheConfig::kib_128());
+        full.noc.chiplet = Some(ChipletLinkConfig::paper_two_chiplets());
+        full.dram.scheduler = MemSchedulerPolicy::Fcfs;
+        full.noc.kind = NocKind::Simple;
+        let autotuned = CompilerOptions { autotune: true, ..CompilerOptions::unoptimized() };
+        let pinned = [
+            (gemm().with_config(SimConfig::tiny()), 0xa303_dcec_5fd0_ea9d),
+            (gemm().with_config(SimConfig::tpu_v3()), 0x380c_8edb_5d4f_4200),
+            (gemm().with_config(full), 0x7f8b_5632_c13f_114d),
+            (gemm().with_options(autotuned), 0xb30a_0fa0_2293_13d0),
+        ];
+        for (spec, fp) in pinned {
+            assert_eq!(spec.fingerprint(), fp, "{}", spec.canonical_json());
+        }
+    }
+
     #[test]
     fn validation_rejects_hostile_dimensions() {
         assert!(ModelRequest::Gemm { n: 0 }.validate().is_err());
