@@ -4,6 +4,7 @@
 use crate::cli::{Args, Error};
 use ptsim_bench::{fig10, fig5, fig6, fig7, fig8, fig9, fmt_x, print_table, Scale};
 use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json_record;
 use std::process::ExitCode;
 
 /// `--bench`, `--jobs N` (default 1) and `--json`: the options every
@@ -309,11 +310,7 @@ struct FeatureRow {
     status: &'static str,
 }
 
-impl ToJson for FeatureRow {
-    fn to_json(&self) -> Json {
-        Json::obj().set("feature", Json::str(self.feature)).set("status", Json::str(self.status))
-    }
-}
+json_record!(ToJson for FeatureRow { feature, status });
 
 /// Table 1, the feature matrix as realized by this reproduction. It has no
 /// scale; `--bench` is accepted so that one loop can call every report.

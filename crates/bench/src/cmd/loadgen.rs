@@ -19,6 +19,7 @@
 //! deviation from the expected handshake.
 
 use crate::cli::{Args, Error};
+use ptsim_common::json::ToJson;
 use ptsim_serve::client::HttpClient;
 use ptsim_serve::loadgen::{self, LoadgenConfig, Mix};
 use std::io::{BufRead, BufReader};

@@ -9,7 +9,7 @@
 
 use crate::Scale;
 use ptsim_common::config::SimConfig;
-use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json_record;
 use pytorchsim::compiler::{execute_functional, Compiler, CompilerOptions};
 use pytorchsim::graph::autodiff::build_training_graph;
 use pytorchsim::graph::exec;
@@ -26,11 +26,7 @@ pub struct Row {
     pub run: TrainingRun,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj().set("batch", Json::u64(self.batch as u64)).set("run", self.run.to_json())
-    }
-}
+json_record!(ToJson for Row { batch, run });
 
 /// Runs the batch-size study. The per-iteration timing of every batch size
 /// — a sweep over the autodiff-expanded forward+backward graphs — runs over

@@ -11,7 +11,7 @@
 
 use crate::Scale;
 use ptsim_common::config::SimConfig;
-use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::util::mean_abs_pct_error;
 use pytorchsim::baselines::{MaestroModel, RooflineModel, ScaleSimModel};
 use pytorchsim::models::{self, ModelSpec};
@@ -42,17 +42,7 @@ impl Row {
     }
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("name", Json::str(&self.name))
-            .set("reference", Json::u64(self.reference))
-            .set("tls", Json::u64(self.tls))
-            .set("roofline", Json::u64(self.roofline))
-            .set("scalesim", Json::u64(self.scalesim))
-            .set("maestro", Json::u64(self.maestro))
-    }
-}
+json_record!(ToJson for Row { name, reference, tls, roofline, scalesim, maestro });
 
 /// The figure's workload list at the given scale.
 pub fn workloads(scale: Scale) -> Vec<ModelSpec> {

@@ -2,7 +2,7 @@
 
 use crate::Scale;
 use ptsim_common::config::{MemSchedulerPolicy, SimConfig};
-use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::Cycle;
 use pytorchsim::models;
 use pytorchsim::sparse::{DetailedSparseSim, SparseCoreConfig, SpmspmLowering};
@@ -38,15 +38,7 @@ impl HeteroResult {
     }
 }
 
-impl ToJson for HeteroResult {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("dense_alone", Json::u64(self.dense_alone))
-            .set("sparse_alone", Json::u64(self.sparse_alone))
-            .set("dense_hetero", Json::u64(self.dense_hetero))
-            .set("sparse_hetero", Json::u64(self.sparse_hetero))
-    }
-}
+json_record!(ToJson for HeteroResult { dense_alone, sparse_alone, dense_hetero, sparse_hetero });
 
 /// Runs Fig. 7a: a dense (systolic) core and a sparse (Flexagon-like) core,
 /// each alone with half the HBM (the 240 GB/s chips) versus integrated in
@@ -131,16 +123,13 @@ impl SparseValidation {
     }
 }
 
-impl ToJson for SparseValidation {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("name", Json::str(&self.name))
-            .set("detailed_cycles", Json::u64(self.detailed_cycles))
-            .set("tls_cycles", Json::u64(self.tls_cycles))
-            .set("detailed_wall", Json::num(self.detailed_wall))
-            .set("tls_wall", Json::num(self.tls_wall))
-    }
-}
+json_record!(ToJson for SparseValidation {
+    name,
+    detailed_cycles,
+    tls_cycles,
+    detailed_wall,
+    tls_wall,
+});
 
 /// Validates sparse TLS against the detailed simulator for SpMSpM-256/512
 /// at 95% sparsity (the paper's setup).
@@ -215,17 +204,14 @@ impl TenancyResult {
     }
 }
 
-impl ToJson for TenancyResult {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("bert_alone", Json::u64(self.bert_alone))
-            .set("resnet_alone", Json::u64(self.resnet_alone))
-            .set("bert_shared", Json::u64(self.bert_shared))
-            .set("resnet_shared", Json::u64(self.resnet_shared))
-            .set("bert_bw", Json::num(self.bert_bw))
-            .set("resnet_bw", Json::num(self.resnet_bw))
-    }
-}
+json_record!(ToJson for TenancyResult {
+    bert_alone,
+    resnet_alone,
+    bert_shared,
+    resnet_shared,
+    bert_bw,
+    resnet_bw,
+});
 
 /// Runs Fig. 7b: BERT-Base and ResNet-18 co-located on one NPU versus solo
 /// runs with half the DRAM bandwidth each (the paper's allocation). The

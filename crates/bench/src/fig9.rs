@@ -8,7 +8,7 @@
 
 use crate::Scale;
 use ptsim_common::config::{ChipletLinkConfig, SimConfig};
-use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json_record;
 use pytorchsim::sweep::{Sweep, SweepOptions, SweepPoint};
 use pytorchsim::tog::{AddrExpr, ExecUnit, ExecutableTog, TogBuilder, TogOpKind};
 use pytorchsim::togsim::JobSpec;
@@ -27,15 +27,7 @@ pub struct Row {
     pub normalized: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("name", Json::str(&self.name))
-            .set("local_fraction", Json::num(self.local_fraction))
-            .set("cycles", Json::u64(self.cycles))
-            .set("normalized", Json::num(self.normalized))
-    }
-}
+json_record!(ToJson for Row { name, local_fraction, cycles, normalized });
 
 /// Builds one core's tile stream with `local_of_4` of every four operand
 /// loads placed on the local chiplet's memory. Each load spreads its rows

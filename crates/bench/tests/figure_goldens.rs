@@ -103,38 +103,21 @@ fn fig5_node_cycles_are_fresh_kernel_measurements() {
     }
 }
 
-/// `ptsim <args> --json`, compared byte for byte with `goldens/<name>.json`.
-fn check_json_output(name: &str, args: &[&str], golden: &str) {
-    let out =
-        Command::new(env!("CARGO_BIN_EXE_ptsim")).args(args).arg("--json").output().expect("runs");
-    assert!(out.status.success(), "ptsim {args:?} --json failed");
-    let rendered = String::from_utf8(out.stdout).expect("utf-8 output");
-    check(name, golden, &rendered);
-}
-
+/// `ptsim <figure> --bench --json` and `ptsim table1 --json`, byte for byte.
 #[test]
-fn fig5_json_matches_golden() {
-    check_json_output("fig5", &["fig5", "--bench"], include_str!("goldens/fig5.json"));
-}
-
-#[test]
-fn fig8_json_matches_golden() {
-    check_json_output("fig8", &["fig8", "--bench"], include_str!("goldens/fig8.json"));
-}
-
-#[test]
-fn fig9_json_matches_golden() {
-    check_json_output("fig9", &["fig9", "--bench"], include_str!("goldens/fig9.json"));
-}
-
-#[test]
-fn fig10_json_matches_golden() {
-    check_json_output("fig10", &["fig10", "--bench"], include_str!("goldens/fig10.json"));
-}
-
-#[test]
-fn table1_json_matches_golden() {
-    check_json_output("table1", &["table1"], include_str!("goldens/table1.json"));
+fn json_outputs_match_goldens() {
+    for (args, golden) in [
+        (&["fig5", "--bench"][..], include_str!("goldens/fig5.json")),
+        (&["fig8", "--bench"], include_str!("goldens/fig8.json")),
+        (&["fig9", "--bench"], include_str!("goldens/fig9.json")),
+        (&["fig10", "--bench"], include_str!("goldens/fig10.json")),
+        (&["table1"], include_str!("goldens/table1.json")),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ptsim")).args(args).arg("--json").output();
+        let out = out.expect("runs");
+        assert!(out.status.success(), "ptsim {args:?} --json failed");
+        check(args[0], golden, &String::from_utf8(out.stdout).expect("utf-8 output"));
+    }
 }
 
 /// Table 1 has no scale: the committed report is its golden.

@@ -7,7 +7,53 @@
 
 use crate::cycles::{ns_to_cycles, Cycle};
 use crate::error::{Error, Result};
-use crate::json::{FromJson, Json, ToJson};
+use crate::json_record;
+use std::fmt::Display;
+
+// Bounds of `SimConfig::validate`. Each value sizes an allocation, a loop
+// or a cycle count, and each bound is at least 16x the largest value any
+// preset, figure, example, test or `ptsim check` case uses.
+
+/// Largest count: cores, DRAM channels, banks and queue depths, NoC port
+/// links, chiplets, systolic and vector dimensions, L1 ways and sets.
+pub const MAX_COUNT: usize = 4096;
+/// Largest product of counts that sizes one allocation: total vector
+/// lanes, logical systolic columns and DRAM banks across channels.
+pub const MAX_UNITS: usize = 1 << 16;
+/// Largest byte size or per-cycle byte rate (256 MiB).
+pub const MAX_BYTES: u64 = 1 << 28;
+/// Largest fixed latency, cycles: NoC zero-load, DMA issue and L1 hit.
+pub const MAX_LATENCY_CYCLES: u64 = 1 << 20;
+/// Largest timing, ns: each DRAM timing and the chiplet link latency.
+pub const MAX_TIMING_NS: f64 = 1e6;
+/// Largest core clock, MHz.
+pub const MAX_FREQ_MHZ: f64 = 1e5;
+
+/// Checks `lo <= value <= hi`; NaN fails.
+fn bounded<T: PartialOrd + Display>(what: &str, value: T, lo: T, hi: T) -> Result<()> {
+    if lo <= value && value <= hi {
+        Ok(())
+    } else {
+        Err(Error::InvalidConfig(format!("{what} must be in {lo}..={hi}, got {value}")))
+    }
+}
+
+fn count(what: &str, value: usize) -> Result<()> {
+    bounded(what, value, 1, MAX_COUNT)
+}
+
+fn bytes(what: &str, value: u64) -> Result<()> {
+    bounded(what, value, 1, MAX_BYTES)
+}
+
+fn power_of_two(what: &str, value: u64) -> Result<()> {
+    bytes(what, value)?;
+    if value.is_power_of_two() {
+        Ok(())
+    } else {
+        Err(Error::InvalidConfig(format!("{what} must be a power of two, got {value}")))
+    }
+}
 
 /// Granularity at which the compiler decomposes tensor DMAs (§3.6.3, §5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -101,26 +147,23 @@ impl DramConfig {
         ns_to_cycles(ns, freq_mhz)
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency and the bounds above.
     pub fn validate(&self) -> Result<()> {
-        if self.channels == 0 || self.banks_per_channel == 0 {
-            return Err(Error::InvalidConfig("dram must have channels and banks".into()));
-        }
-        if !self.transaction_bytes.is_power_of_two() || self.transaction_bytes == 0 {
-            return Err(Error::InvalidConfig(
-                "dram transaction size must be a nonzero power of two".into(),
-            ));
-        }
-        if self.row_bytes < self.transaction_bytes {
-            return Err(Error::InvalidConfig("dram row smaller than a transaction".into()));
-        }
-        if self.bytes_per_cycle_per_channel == 0 {
-            return Err(Error::InvalidConfig(
-                "dram data bus must be at least one byte wide".into(),
-            ));
-        }
-        if self.queue_depth == 0 {
-            return Err(Error::InvalidConfig("dram queue depth must be nonzero".into()));
+        count("dram channels", self.channels)?;
+        count("dram banks per channel", self.banks_per_channel)?;
+        count("dram queue depth", self.queue_depth)?;
+        bounded("dram banks", self.channels * self.banks_per_channel, 1, MAX_UNITS)?;
+        power_of_two("dram transaction bytes", self.transaction_bytes)?;
+        bounded("dram row bytes", self.row_bytes, self.transaction_bytes, MAX_BYTES)?;
+        bytes("dram bus width", self.bytes_per_cycle_per_channel)?;
+        for (what, ns) in [
+            ("dram tCL", self.t_cl_ns),
+            ("dram tRCD", self.t_rcd_ns),
+            ("dram tRAS", self.t_ras_ns),
+            ("dram tWR", self.t_wr_ns),
+            ("dram tRP", self.t_rp_ns),
+        ] {
+            bounded(what, ns, 0.0, MAX_TIMING_NS)?;
         }
         Ok(())
     }
@@ -203,26 +246,16 @@ impl NocConfig {
         NocConfig { kind: NocKind::Simple, ..Self::crossbar_tpu_v3() }
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency and the bounds above.
     pub fn validate(&self) -> Result<()> {
-        if self.flit_bytes == 0 {
-            return Err(Error::InvalidConfig("noc flits must be at least one byte".into()));
-        }
-        if self.bytes_per_cycle == 0 {
-            return Err(Error::InvalidConfig("noc port bandwidth must be nonzero".into()));
-        }
-        if self.port_links == 0 {
-            return Err(Error::InvalidConfig("noc ports must have at least one link".into()));
-        }
+        bytes("noc flit bytes", self.flit_bytes)?;
+        bytes("noc port bandwidth", self.bytes_per_cycle)?;
+        bounded("noc port links", self.port_links, 1, MAX_COUNT as u64)?;
+        bounded("noc latency", self.latency_cycles, 0, MAX_LATENCY_CYCLES)?;
         if let Some(ch) = &self.chiplet {
-            if ch.chiplets < 2 {
-                return Err(Error::InvalidConfig(
-                    "chiplet partitioning needs at least two chiplets".into(),
-                ));
-            }
-            if ch.link_bytes_per_cycle == 0 {
-                return Err(Error::InvalidConfig("chiplet link bandwidth must be nonzero".into()));
-            }
+            bounded("chiplets", ch.chiplets, 2, MAX_COUNT)?;
+            bytes("chiplet link bandwidth", ch.link_bytes_per_cycle)?;
+            bounded("chiplet link latency", ch.link_latency_ns, 0.0, MAX_TIMING_NS)?;
         }
         Ok(())
     }
@@ -262,21 +295,13 @@ impl L1CacheConfig {
         (self.size_bytes / (self.line_bytes * self.ways as u64).max(1)).max(1) as usize
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency and the bounds above.
     pub fn validate(&self) -> Result<()> {
-        if self.ways == 0 {
-            return Err(Error::InvalidConfig("l1 cache must have at least one way".into()));
-        }
-        if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
-            return Err(Error::InvalidConfig("l1 line size must be a nonzero power of two".into()));
-        }
-        if self.size_bytes < self.line_bytes * self.ways as u64 {
-            return Err(Error::InvalidConfig("l1 cache smaller than one set".into()));
-        }
-        if self.hit_latency == 0 {
-            return Err(Error::InvalidConfig("l1 hits must take at least one cycle".into()));
-        }
-        Ok(())
+        count("l1 ways", self.ways)?;
+        power_of_two("l1 line bytes", self.line_bytes)?;
+        bounded("l1 bytes", self.size_bytes, self.line_bytes * self.ways as u64, MAX_BYTES)?;
+        count("l1 sets", self.sets())?;
+        bounded("l1 hit latency", self.hit_latency, 1, MAX_LATENCY_CYCLES)
     }
 }
 
@@ -379,17 +404,17 @@ impl NpuConfig {
         t.raw() as f64 / (self.freq_mhz * 1e6)
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency and the bounds above.
     pub fn validate(&self) -> Result<()> {
-        if self.cores == 0 {
-            return Err(Error::InvalidConfig("npu must have at least one core".into()));
-        }
-        if self.systolic_rows == 0 || self.systolic_cols == 0 {
-            return Err(Error::InvalidConfig("systolic array must be non-empty".into()));
-        }
-        if self.vector_units == 0 || self.vector_lanes == 0 {
-            return Err(Error::InvalidConfig("vector units must be non-empty".into()));
-        }
+        count("npu cores", self.cores)?;
+        count("systolic rows", self.systolic_rows)?;
+        count("systolic columns", self.systolic_cols)?;
+        count("systolic arrays per core", self.systolic_arrays_per_core)?;
+        count("vector units", self.vector_units)?;
+        count("vector lanes", self.vector_lanes)?;
+        count("dma queue depth", self.dma_queue_depth)?;
+        bounded("logical systolic columns", self.logical_sa_cols(), 1, MAX_UNITS)?;
+        bounded("total vector lanes", self.total_vector_lanes(), 1, MAX_UNITS)?;
         if self.total_vector_lanes() < self.logical_sa_cols() {
             // The vector unit drains the systolic array's output FIFO one
             // row per register group: it must span a logical output row.
@@ -400,22 +425,19 @@ impl NpuConfig {
                 self.logical_sa_cols()
             )));
         }
-        if self.scratchpad_bytes < 4096 {
-            return Err(Error::InvalidConfig("scratchpad too small".into()));
+        bounded("scratchpad bytes", self.scratchpad_bytes, 4096, MAX_BYTES)?;
+        bytes("tensor element bytes", self.element_bytes)?;
+        bounded("dma issue latency", self.dma_issue_cycles, 0, MAX_LATENCY_CYCLES)?;
+        if !(self.freq_mhz > 0.0 && self.freq_mhz <= MAX_FREQ_MHZ) {
+            return Err(Error::InvalidConfig(format!(
+                "core clock must be in (0, {MAX_FREQ_MHZ}] MHz, got {}",
+                self.freq_mhz
+            )));
         }
-        if !(self.freq_mhz.is_finite() && self.freq_mhz > 0.0) {
-            return Err(Error::InvalidConfig("core clock must be positive".into()));
+        match &self.l1_cache {
+            Some(l1) => l1.validate(),
+            None => Ok(()),
         }
-        if self.element_bytes == 0 {
-            return Err(Error::InvalidConfig("tensor elements must be at least one byte".into()));
-        }
-        if self.dma_queue_depth == 0 {
-            return Err(Error::InvalidConfig("dma queue depth must be nonzero".into()));
-        }
-        if let Some(l1) = &self.l1_cache {
-            l1.validate()?;
-        }
-        Ok(())
     }
 }
 
@@ -619,248 +641,64 @@ impl SimConfig {
 
 // JSON round-trips: every consumer that moves configs over a wire
 // (`ptsim-serve`, the report bins) goes through [`ToJson`]/[`FromJson`],
-// keyed by field name.
+// keyed by field name in the order listed here.
 
-impl ToJson for DmaGranularity {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            DmaGranularity::Coarse => "Coarse",
-            DmaGranularity::Fine => "Fine",
-            DmaGranularity::SelectiveFine => "SelectiveFine",
-        })
+json_record!(
+    enum DmaGranularity {
+        Coarse,
+        Fine,
+        SelectiveFine,
     }
-}
-
-impl FromJson for DmaGranularity {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        match v.as_str() {
-            Some("Coarse") => Ok(DmaGranularity::Coarse),
-            Some("Fine") => Ok(DmaGranularity::Fine),
-            Some("SelectiveFine") => Ok(DmaGranularity::SelectiveFine),
-            _ => Err(format!("bad dma granularity {v:?}")),
-        }
+);
+json_record!(
+    enum MemSchedulerPolicy {
+        FrFcfs,
+        Fcfs,
     }
-}
-
-impl ToJson for MemSchedulerPolicy {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            MemSchedulerPolicy::FrFcfs => "FrFcfs",
-            MemSchedulerPolicy::Fcfs => "Fcfs",
-        })
+);
+json_record!(
+    enum NocKind {
+        Simple,
+        Crossbar,
     }
-}
-
-impl FromJson for MemSchedulerPolicy {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        match v.as_str() {
-            Some("FrFcfs") => Ok(MemSchedulerPolicy::FrFcfs),
-            Some("Fcfs") => Ok(MemSchedulerPolicy::Fcfs),
-            _ => Err(format!("bad memory scheduler policy {v:?}")),
-        }
-    }
-}
-
-impl ToJson for NocKind {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            NocKind::Simple => "Simple",
-            NocKind::Crossbar => "Crossbar",
-        })
-    }
-}
-
-impl FromJson for NocKind {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        match v.as_str() {
-            Some("Simple") => Ok(NocKind::Simple),
-            Some("Crossbar") => Ok(NocKind::Crossbar),
-            _ => Err(format!("bad noc kind {v:?}")),
-        }
-    }
-}
-
-impl ToJson for DramConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("channels", Json::u64(self.channels as u64))
-            .set("banks_per_channel", Json::u64(self.banks_per_channel as u64))
-            .set("row_bytes", Json::u64(self.row_bytes))
-            .set("transaction_bytes", Json::u64(self.transaction_bytes))
-            .set("bytes_per_cycle_per_channel", Json::u64(self.bytes_per_cycle_per_channel))
-            .set("t_cl_ns", Json::Num(self.t_cl_ns))
-            .set("t_rcd_ns", Json::Num(self.t_rcd_ns))
-            .set("t_ras_ns", Json::Num(self.t_ras_ns))
-            .set("t_wr_ns", Json::Num(self.t_wr_ns))
-            .set("t_rp_ns", Json::Num(self.t_rp_ns))
-            .set("queue_depth", Json::u64(self.queue_depth as u64))
-            .set("scheduler", self.scheduler.to_json())
-    }
-}
-
-impl FromJson for DramConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(DramConfig {
-            channels: v.req_usize("channels")?,
-            banks_per_channel: v.req_usize("banks_per_channel")?,
-            row_bytes: v.req_u64("row_bytes")?,
-            transaction_bytes: v.req_u64("transaction_bytes")?,
-            bytes_per_cycle_per_channel: v.req_u64("bytes_per_cycle_per_channel")?,
-            t_cl_ns: v.req_num("t_cl_ns")?,
-            t_rcd_ns: v.req_num("t_rcd_ns")?,
-            t_ras_ns: v.req_num("t_ras_ns")?,
-            t_wr_ns: v.req_num("t_wr_ns")?,
-            t_rp_ns: v.req_num("t_rp_ns")?,
-            queue_depth: v.req_usize("queue_depth")?,
-            scheduler: MemSchedulerPolicy::from_json(v.req("scheduler")?)?,
-        })
-    }
-}
-
-impl ToJson for ChipletLinkConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("chiplets", Json::u64(self.chiplets as u64))
-            .set("link_bytes_per_cycle", Json::u64(self.link_bytes_per_cycle))
-            .set("link_latency_ns", Json::Num(self.link_latency_ns))
-    }
-}
-
-impl FromJson for ChipletLinkConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(ChipletLinkConfig {
-            chiplets: v.req_usize("chiplets")?,
-            link_bytes_per_cycle: v.req_u64("link_bytes_per_cycle")?,
-            link_latency_ns: v.req_num("link_latency_ns")?,
-        })
-    }
-}
-
-impl ToJson for NocConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("kind", self.kind.to_json())
-            .set("flit_bytes", Json::u64(self.flit_bytes))
-            .set("latency_cycles", Json::u64(self.latency_cycles))
-            .set("bytes_per_cycle", Json::u64(self.bytes_per_cycle))
-            .set("port_links", Json::u64(self.port_links))
-            .set(
-                "chiplet",
-                match &self.chiplet {
-                    Some(ch) => ch.to_json(),
-                    None => Json::Null,
-                },
-            )
-    }
-}
-
-impl FromJson for NocConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        let chiplet = match v.get("chiplet") {
-            None | Some(Json::Null) => None,
-            Some(ch) => Some(ChipletLinkConfig::from_json(ch)?),
-        };
-        Ok(NocConfig {
-            kind: NocKind::from_json(v.req("kind")?)?,
-            flit_bytes: v.req_u64("flit_bytes")?,
-            latency_cycles: v.req_u64("latency_cycles")?,
-            bytes_per_cycle: v.req_u64("bytes_per_cycle")?,
-            port_links: v.req_u64("port_links")?,
-            chiplet,
-        })
-    }
-}
-
-impl ToJson for L1CacheConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("size_bytes", Json::u64(self.size_bytes))
-            .set("line_bytes", Json::u64(self.line_bytes))
-            .set("ways", Json::u64(self.ways as u64))
-            .set("hit_latency", Json::u64(self.hit_latency))
-    }
-}
-
-impl FromJson for L1CacheConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(L1CacheConfig {
-            size_bytes: v.req_u64("size_bytes")?,
-            line_bytes: v.req_u64("line_bytes")?,
-            ways: v.req_usize("ways")?,
-            hit_latency: v.req_u64("hit_latency")?,
-        })
-    }
-}
-
-impl ToJson for NpuConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("cores", Json::u64(self.cores as u64))
-            .set("freq_mhz", Json::Num(self.freq_mhz))
-            .set("systolic_rows", Json::u64(self.systolic_rows as u64))
-            .set("systolic_cols", Json::u64(self.systolic_cols as u64))
-            .set("systolic_arrays_per_core", Json::u64(self.systolic_arrays_per_core as u64))
-            .set("vector_units", Json::u64(self.vector_units as u64))
-            .set("vector_lanes", Json::u64(self.vector_lanes as u64))
-            .set("scratchpad_bytes", Json::u64(self.scratchpad_bytes))
-            .set("element_bytes", Json::u64(self.element_bytes))
-            .set("dma_queue_depth", Json::u64(self.dma_queue_depth as u64))
-            .set("dma_issue_cycles", Json::u64(self.dma_issue_cycles))
-            .set(
-                "l1_cache",
-                match &self.l1_cache {
-                    Some(l1) => l1.to_json(),
-                    None => Json::Null,
-                },
-            )
-    }
-}
-
-impl FromJson for NpuConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        let l1_cache = match v.get("l1_cache") {
-            None | Some(Json::Null) => None,
-            Some(l1) => Some(L1CacheConfig::from_json(l1)?),
-        };
-        Ok(NpuConfig {
-            cores: v.req_usize("cores")?,
-            freq_mhz: v.req_num("freq_mhz")?,
-            systolic_rows: v.req_usize("systolic_rows")?,
-            systolic_cols: v.req_usize("systolic_cols")?,
-            systolic_arrays_per_core: v.req_usize("systolic_arrays_per_core")?,
-            vector_units: v.req_usize("vector_units")?,
-            vector_lanes: v.req_usize("vector_lanes")?,
-            scratchpad_bytes: v.req_u64("scratchpad_bytes")?,
-            element_bytes: v.req_u64("element_bytes")?,
-            dma_queue_depth: v.req_usize("dma_queue_depth")?,
-            dma_issue_cycles: v.req_u64("dma_issue_cycles")?,
-            l1_cache,
-        })
-    }
-}
-
-impl ToJson for SimConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("npu", self.npu.to_json())
-            .set("dram", self.dram.to_json())
-            .set("noc", self.noc.to_json())
-    }
-}
-
-impl FromJson for SimConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(SimConfig {
-            npu: NpuConfig::from_json(v.req("npu")?)?,
-            dram: DramConfig::from_json(v.req("dram")?)?,
-            noc: NocConfig::from_json(v.req("noc")?)?,
-        })
-    }
-}
+);
+json_record!(DramConfig {
+    channels,
+    banks_per_channel,
+    row_bytes,
+    transaction_bytes,
+    bytes_per_cycle_per_channel,
+    t_cl_ns,
+    t_rcd_ns,
+    t_ras_ns,
+    t_wr_ns,
+    t_rp_ns,
+    queue_depth,
+    scheduler,
+});
+json_record!(ChipletLinkConfig { chiplets, link_bytes_per_cycle, link_latency_ns });
+json_record!(NocConfig { kind, flit_bytes, latency_cycles, bytes_per_cycle, port_links, chiplet });
+json_record!(L1CacheConfig { size_bytes, line_bytes, ways, hit_latency });
+json_record!(NpuConfig {
+    cores,
+    freq_mhz,
+    systolic_rows,
+    systolic_cols,
+    systolic_arrays_per_core,
+    vector_units,
+    vector_lanes,
+    scratchpad_bytes,
+    element_bytes,
+    dma_queue_depth,
+    dma_issue_cycles,
+    l1_cache,
+});
+json_record!(SimConfig { npu, dram, noc });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{FromJson, Json, ToJson};
 
     #[test]
     fn tpu_v3_matches_paper_numbers() {
@@ -957,6 +795,46 @@ mod tests {
         assert!(c.validate().is_err(), "dram queue must be validated");
         assert!(SimConfig::tiny().validate().is_ok());
         assert!(SimConfig::tpu_v3().validate().is_ok());
+
+        // Values that size an allocation or a cycle count are bounded: each
+        // of these used to pass and then abort the process, panic, or
+        // report nonsense cycles.
+        let mut full = SimConfig::tpu_v3();
+        full.npu.l1_cache = Some(L1CacheConfig::kib_128());
+        full.noc.chiplet = Some(ChipletLinkConfig::paper_two_chiplets());
+        type Mutation = fn(&mut SimConfig);
+        let hostile: [(&str, Mutation); 19] = [
+            ("channels", |c| c.dram.channels = 1 << 40),
+            ("banks", |c| c.dram.banks_per_channel = MAX_COUNT + 1),
+            ("banks in total", |c| (c.dram.channels, c.dram.banks_per_channel) = (MAX_COUNT, 32)),
+            ("dram queue", |c| c.dram.queue_depth = usize::MAX),
+            ("tCL", |c| c.dram.t_cl_ns = 1e300),
+            ("tRP", |c| c.dram.t_rp_ns = -50.0),
+            ("tRAS", |c| c.dram.t_ras_ns = f64::NAN),
+            ("cores", |c| c.npu.cores = MAX_COUNT + 1),
+            ("systolic", |c| c.npu.systolic_rows = 1 << 20),
+            ("vector lanes", |c| (c.npu.vector_units, c.npu.vector_lanes) = (MAX_COUNT, 32)),
+            ("dma queue", |c| c.npu.dma_queue_depth = MAX_COUNT + 1),
+            ("dma issue", |c| c.npu.dma_issue_cycles = MAX_LATENCY_CYCLES + 1),
+            ("scratchpad", |c| c.npu.scratchpad_bytes = 1 << 40),
+            ("clock", |c| c.npu.freq_mhz = f64::INFINITY),
+            ("noc latency", |c| c.noc.latency_cycles = (1 << 53) - 1),
+            ("port links", |c| c.noc.port_links = 1 << 32),
+            ("l1 size", |c| c.npu.l1_cache.as_mut().unwrap().size_bytes = 1 << 40),
+            ("l1 hit", |c| c.npu.l1_cache.as_mut().unwrap().hit_latency = u64::MAX),
+            ("link latency", |c| c.noc.chiplet.as_mut().unwrap().link_latency_ns = 1e9),
+        ];
+        for (what, mutate) in hostile {
+            let mut c = full.clone();
+            mutate(&mut c);
+            assert!(c.validate().is_err(), "{what} must be bounded");
+        }
+        // Each bound is at least 16x the largest value in use.
+        let mut c = full;
+        (c.dram.channels, c.npu.cores, c.npu.systolic_rows) = (16 * 64, 16 * 8, 16 * 128);
+        (c.npu.vector_units, c.npu.scratchpad_bytes) = (16 * 128, 16 << 24);
+        (c.dram.t_ras_ns, c.npu.dma_issue_cycles) = (16.0 * 1000.0, 16 * 24);
+        assert!(c.validate().is_ok(), "{:?}", c.validate());
     }
 
     #[test]
@@ -971,6 +849,53 @@ mod tests {
         c.dram.scheduler = MemSchedulerPolicy::Fcfs;
         c.noc.kind = NocKind::Simple;
         assert_eq!(SimConfig::from_json_str(&c.to_json_string()).unwrap(), c);
+
+        // Per key: change one leaf at a time. Parsing and re-rendering must
+        // give back exactly that change, so no key is read into another
+        // field (tpu_v3's tCL, tRCD, tWR and tRP are all 8 ns).
+        let doc = c.to_json();
+        let mut paths = Vec::new();
+        leaf_paths(&doc, &mut Vec::new(), &mut paths);
+        assert!(paths.contains(&vec!["npu", "l1_cache", "hit_latency"]), "{paths:?}");
+        assert!(paths.contains(&vec!["noc", "chiplet", "link_latency_ns"]), "{paths:?}");
+        for path in paths {
+            let mut changed = doc.clone();
+            let leaf = path.iter().fold(&mut changed, |d, key| match d {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                _ => unreachable!(),
+            });
+            *leaf = match leaf {
+                Json::Num(n) => Json::Num(*n + 1.0),
+                Json::Str(s) => Json::str(other_variant(s)),
+                other => panic!("{path:?}: unexpected leaf {other:?}"),
+            };
+            assert_eq!(SimConfig::from_json(&changed).unwrap().to_json(), changed, "{path:?}");
+        }
+    }
+
+    /// Every leaf of an object tree, as its key path.
+    fn leaf_paths<'a>(doc: &'a Json, prefix: &mut Vec<&'a str>, out: &mut Vec<Vec<&'a str>>) {
+        match doc {
+            Json::Obj(fields) => {
+                for (k, v) in fields {
+                    prefix.push(k);
+                    leaf_paths(v, prefix, out);
+                    prefix.pop();
+                }
+            }
+            _ => out.push(prefix.clone()),
+        }
+    }
+
+    /// Another variant of the same enum as `variant`.
+    fn other_variant(variant: &str) -> &'static str {
+        match variant {
+            "FrFcfs" => "Fcfs",
+            "Fcfs" => "FrFcfs",
+            "Simple" => "Crossbar",
+            "Crossbar" => "Simple",
+            other => panic!("no alternative for {other}"),
+        }
     }
 
     #[test]

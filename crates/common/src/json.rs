@@ -4,9 +4,13 @@
 //! trace export, report `--json` output, and the `ptsim-serve` HTTP API —
 //! is built on this module. [`Json`] is the document model, [`parse_json`]
 //! the strict recursive-descent reader, and [`Json::render`] the writer.
-//! The [`ToJson`]/[`FromJson`] traits give structured types a round-trip;
-//! numbers ride on `f64`, which is exact for every magnitude the simulator
-//! reports (cycle counts and byte totals stay far below 2^53).
+//! The [`ToJson`]/[`FromJson`] traits give structured types a round-trip,
+//! declared once per record by [`json_record!`](crate::json_record).
+//! Numbers ride on `f64`, exact for every integer up to 2^53: an integer
+//! field reads only a whole number in `0..=`[`MAX_EXACT_INT`], so a value
+//! that would truncate or saturate is an error naming the key. Writing
+//! stays exact because `SimConfig::validate` bounds every count, latency
+//! and timing, keeping cycle counts and byte totals far below 2^53.
 //!
 //! # Examples
 //!
@@ -20,8 +24,13 @@
 //! # Ok::<(), String>(())
 //! ```
 
+use crate::cycles::Cycle;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+
+/// The largest integer every integer field reads: 2^53, the last one an
+/// `f64` holds exactly.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,23 +132,20 @@ impl Json {
         self.req(key)?.as_num().ok_or_else(|| format!("field {key:?} must be a number"))
     }
 
-    /// A required numeric field read as `u64` (rejects negatives).
+    /// A required integer field read as `u64`: a whole number in
+    /// `0..=`[`MAX_EXACT_INT`].
     pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        let n = self.req_num(key)?;
-        if n < 0.0 {
-            return Err(format!("field {key:?} must be non-negative"));
+        self.field(key)
+    }
+
+    /// An object field converted by its type's [`FromJson`], with the key
+    /// named in any error. A missing key reads as `null`, so an `Option`
+    /// field may be left out; any other type reports `missing field "key"`.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        match self.get(key) {
+            Some(v) => T::from_json(v).map_err(|e| format!("field {key:?}: {e}")),
+            None => T::from_json(&Json::Null).map_err(|_| format!("missing field {key:?}")),
         }
-        Ok(n as u64)
-    }
-
-    /// A required numeric field read as `usize`.
-    pub fn req_usize(&self, key: &str) -> Result<usize, String> {
-        Ok(self.req_u64(key)? as usize)
-    }
-
-    /// A required boolean field.
-    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
-        self.req(key)?.as_bool().ok_or_else(|| format!("field {key:?} must be a boolean"))
     }
 
     /// A required string field.
@@ -271,6 +277,191 @@ impl ToJson for Json {
     }
 }
 
+/// Declares the JSON form of an existing record once, from its field list.
+///
+/// Each field's key is its name and the keys render in list order; each
+/// value converts through its own type's [`ToJson`]/[`FromJson`]. The
+/// generated bodies destructure the whole type, so a field left off the
+/// list is a compile error, not a key silently missing from a cache key.
+/// Three forms:
+///
+/// - `json_record!(Type { a, b })` generates [`ToJson`] and [`FromJson`];
+/// - `json_record!(ToJson for Type { a, b })` generates only [`ToJson`],
+///   for an output record that nothing parses;
+/// - `json_record!(enum Type { A, B })` maps each unit variant to and from
+///   its name as a string.
+///
+/// # Examples
+///
+/// ```
+/// use ptsim_common::json::{FromJson, ToJson};
+/// use ptsim_common::json_record;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Link { lanes: u64, latency_ns: f64, spare: Option<u64> }
+/// json_record!(Link { lanes, latency_ns, spare });
+///
+/// let link = Link { lanes: 4, latency_ns: 2.5, spare: None };
+/// assert_eq!(link.to_json_string(), r#"{"lanes":4,"latency_ns":2.5,"spare":null}"#);
+/// assert_eq!(Link::from_json_str(r#"{"lanes":4,"latency_ns":2.5}"#)?, link);
+/// assert!(Link::from_json_str(r#"{"lanes":2.5,"latency_ns":1}"#).unwrap_err().contains("lanes"));
+/// # Ok::<(), String>(())
+/// ```
+///
+/// A field left off the list does not compile:
+///
+/// ```compile_fail
+/// use ptsim_common::json_record;
+///
+/// struct Link { lanes: u64, latency_ns: f64 }
+/// json_record!(Link { lanes });
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    (enum $ty:ident { $($variant:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::str(match self {
+                    $($ty::$variant => stringify!($variant),)+
+                })
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> ::std::result::Result<Self, String> {
+                match v.as_str() {
+                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
+                    _ => Err(format!("bad {} {v:?}", stringify!($ty))),
+                }
+            }
+        }
+    };
+    (ToJson for $ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let $ty { $($field),+ } = self;
+                $crate::json::Json::Obj(vec![
+                    $((stringify!($field).to_string(), $crate::json::ToJson::to_json($field)),)+
+                ])
+            }
+        }
+    };
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        $crate::json_record!(ToJson for $ty { $($field),+ });
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> ::std::result::Result<Self, String> {
+                Ok($ty { $($field: v.field(stringify!($field))?),+ })
+            }
+        }
+    };
+}
+
+/// Reads a whole number in `0..=`[`MAX_EXACT_INT`]; anything else would
+/// truncate or saturate on the cast.
+fn exact_int(v: &Json) -> Result<u64, String> {
+    match v.as_num() {
+        Some(n) if n >= 0.0 && n <= MAX_EXACT_INT as f64 && n.fract() == 0.0 => Ok(n as u64),
+        _ => Err(format!("expected a whole number in 0..=2^53, got {}", v.render())),
+    }
+}
+
+macro_rules! integer_json {
+    ($($ty:ty),+) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+        }
+
+        impl FromJson for $ty {
+            fn from_json(v: &Json) -> Result<Self, String> {
+                let n = exact_int(v)?;
+                <$ty>::try_from(n).map_err(|_| format!("{n} does not fit a {}", stringify!($ty)))
+            }
+        }
+    )+};
+}
+
+integer_json!(u64, usize, u32);
+
+impl ToJson for Cycle {
+    fn to_json(&self) -> Json {
+        Json::u64(self.raw())
+    }
+}
+
+impl FromJson for Cycle {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        exact_int(v).map(Cycle::new)
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_num().ok_or_else(|| format!("expected a number, got {}", v.render()))
+    }
+}
+
+impl ToJson for f32 {
+    fn to_json(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| format!("expected a boolean, got {}", v.render()))
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::str(self)
+    }
+}
+
+impl ToJson for &str {
+    fn to_json(&self) -> Json {
+        Json::str(*self)
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("expected a string, got {}", v.render()))
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
@@ -301,8 +492,7 @@ impl FromJson for HashMap<u32, u64> {
             .iter()
             .map(|(k, v)| {
                 let tag = k.parse::<u32>().map_err(|_| format!("bad tag key {k:?}"))?;
-                let bytes = v.as_num().ok_or_else(|| format!("tag {k:?} must map to a number"))?;
-                Ok((tag, bytes as u64))
+                Ok((tag, u64::from_json(v).map_err(|e| format!("tag {k:?}: {e}"))?))
             })
             .collect()
     }
@@ -548,7 +738,10 @@ mod tests {
         let doc = parse_json(r#"{"n": 3, "s": "x", "b": false}"#).unwrap();
         assert_eq!(doc.req_u64("n").unwrap(), 3);
         assert_eq!(doc.req_str("s").unwrap(), "x");
-        assert!(!doc.req_bool("b").unwrap());
+        assert!(!doc.field::<bool>("b").unwrap());
+        assert!(doc.field::<bool>("n").unwrap_err().contains("\"n\""));
+        assert_eq!(doc.field::<Option<u64>>("absent").unwrap(), None);
+        assert_eq!(doc.field::<u64>("absent").unwrap_err(), r#"missing field "absent""#);
         assert!(doc.req("missing").unwrap_err().contains("missing"));
         assert!(doc.req_num("s").unwrap_err().contains("\"s\""));
     }
@@ -567,5 +760,22 @@ mod tests {
     fn negative_values_are_rejected_for_u64_fields() {
         let doc = parse_json(r#"{"n": -1}"#).unwrap();
         assert!(doc.req_u64("n").is_err());
+    }
+
+    #[test]
+    fn integer_fields_take_only_exact_whole_numbers() {
+        for bad in ["2.5", "1e20", "9007199254740994", "true", "\"3\"", "null"] {
+            let doc = parse_json(&format!(r#"{{"n": {bad}}}"#)).unwrap();
+            let err = doc.req_u64("n").unwrap_err();
+            assert!(err.contains("\"n\""), "{bad}: {err}");
+            assert!(doc.field::<usize>("n").is_err(), "{bad}");
+            assert!(doc.field::<u32>("n").is_err(), "{bad}");
+            assert!(doc.field::<Cycle>("n").is_err(), "{bad}");
+        }
+        let doc = parse_json(r#"{"max": 9007199254740992, "big": 4294967296}"#).unwrap();
+        assert_eq!(doc.req_u64("max").unwrap(), MAX_EXACT_INT);
+        assert_eq!(doc.req_u64("big").unwrap(), 1 << 32);
+        assert!(doc.field::<u32>("big").unwrap_err().contains("\"big\""));
+        assert!(doc.field::<u32>("max").is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 use ptsim_common::config::DmaGranularity;
 use ptsim_common::fingerprint::Fnv;
-use ptsim_common::json::{FromJson, Json, ToJson};
+use ptsim_common::json_record;
 
 /// Knobs of the NPU compiler backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,32 +79,15 @@ impl CompilerOptions {
     }
 }
 
-impl ToJson for CompilerOptions {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("dma", self.dma.to_json())
-            .set("sfg_threshold_bytes", Json::u64(self.sfg_threshold_bytes))
-            .set("fuse_epilogue", Json::Bool(self.fuse_epilogue))
-            .set("conv_layout_opt", Json::Bool(self.conv_layout_opt))
-            .set("max_m_tile", Json::u64(self.max_m_tile as u64))
-            .set("small_c_threshold", Json::u64(self.small_c_threshold as u64))
-            .set("autotune", Json::Bool(self.autotune))
-    }
-}
-
-impl FromJson for CompilerOptions {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(CompilerOptions {
-            dma: DmaGranularity::from_json(v.req("dma")?)?,
-            sfg_threshold_bytes: v.req_u64("sfg_threshold_bytes")?,
-            fuse_epilogue: v.req_bool("fuse_epilogue")?,
-            conv_layout_opt: v.req_bool("conv_layout_opt")?,
-            max_m_tile: v.req_usize("max_m_tile")?,
-            small_c_threshold: v.req_usize("small_c_threshold")?,
-            autotune: v.req_bool("autotune")?,
-        })
-    }
-}
+json_record!(CompilerOptions {
+    dma,
+    sfg_threshold_bytes,
+    fuse_epilogue,
+    conv_layout_opt,
+    max_m_tile,
+    small_c_threshold,
+    autotune,
+});
 
 #[cfg(test)]
 mod tests {
@@ -124,5 +107,26 @@ mod tests {
         assert_eq!(o.dma, DmaGranularity::Coarse);
         assert!(!o.fuse_epilogue);
         assert!(!o.conv_layout_opt);
+    }
+
+    /// Changing any one key of the JSON form changes exactly that key after
+    /// a parse and re-render: no key is read into another field.
+    #[test]
+    fn options_serialize_round_trip_key_by_key() {
+        use ptsim_common::json::{FromJson, Json, ToJson};
+        let o = CompilerOptions { autotune: true, ..CompilerOptions::unoptimized() };
+        assert_eq!(CompilerOptions::from_json_str(&o.to_json_string()).unwrap(), o);
+        let Json::Obj(fields) = o.to_json() else { panic!("options render as an object") };
+        for i in 0..fields.len() {
+            let mut changed = fields.clone();
+            changed[i].1 = match &changed[i].1 {
+                Json::Num(n) => Json::Num(n + 1.0),
+                Json::Bool(b) => Json::Bool(!b),
+                Json::Str(_) => Json::str("Fine"),
+                other => panic!("{}: unexpected leaf {other:?}", changed[i].0),
+            };
+            let changed = Json::Obj(changed);
+            assert_eq!(CompilerOptions::from_json(&changed).unwrap().to_json(), changed);
+        }
     }
 }

@@ -32,7 +32,7 @@
 
 use ptsim_common::config::SimConfig;
 use ptsim_common::fingerprint::Fnv;
-use ptsim_common::json::{FromJson, Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::Result;
 use ptsim_compiler::{
     graph_fingerprint, CompiledModel, Compiler, CompilerOptions, GraphArtifact, KernelStore,
@@ -97,22 +97,9 @@ impl StageStats {
             in_flight: self.in_flight,
         }
     }
-
-    fn to_json(self) -> Json {
-        Json::obj()
-            .set("hits", Json::u64(self.hits))
-            .set("misses", Json::u64(self.misses))
-            .set("in_flight", Json::u64(self.in_flight))
-    }
-
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(StageStats {
-            hits: v.req_u64("hits")?,
-            misses: v.req_u64("misses")?,
-            in_flight: v.req_u64("in_flight")?,
-        })
-    }
 }
+
+json_record!(ToJson for StageStats { hits, misses, in_flight });
 
 /// Counters of a [`CompileCache`], for sweep reporting, `/metrics`, and
 /// for asserting that each unique point compiled exactly once.
@@ -158,34 +145,16 @@ impl CompileCacheStats {
     }
 }
 
-impl ToJson for CompileCacheStats {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("hits", Json::u64(self.hits))
-            .set("compiles", Json::u64(self.compiles))
-            .set("bytes_held", Json::u64(self.bytes_held))
-            .set("evictions", Json::u64(self.evictions))
-            .set("graph", self.graph.to_json())
-            .set("plan", self.plan.to_json())
-            .set("kernel", self.kernel.to_json())
-            .set("model", self.model.to_json())
-    }
-}
-
-impl FromJson for CompileCacheStats {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(CompileCacheStats {
-            hits: v.req_u64("hits")?,
-            compiles: v.req_u64("compiles")?,
-            bytes_held: v.req_u64("bytes_held")?,
-            evictions: v.req_u64("evictions")?,
-            graph: StageStats::from_json(v.req("graph")?)?,
-            plan: StageStats::from_json(v.req("plan")?)?,
-            kernel: StageStats::from_json(v.req("kernel")?)?,
-            model: StageStats::from_json(v.req("model")?)?,
-        })
-    }
-}
+json_record!(ToJson for CompileCacheStats {
+    hits,
+    compiles,
+    bytes_held,
+    evictions,
+    graph,
+    plan,
+    kernel,
+    model,
+});
 
 /// One level of the artifact store: a keyed map with exactly-once build
 /// semantics and hit/miss counters.
@@ -711,17 +680,5 @@ mod tests {
         assert_eq!(tiny_cap.stats().compiles, 3);
         // ...but its kernel measurements survived in the kernel store.
         assert_eq!(tiny_cap.stats().kernel.misses, stats.kernel.misses);
-    }
-
-    #[test]
-    fn stats_json_round_trips() {
-        let cache = CompileCache::default();
-        let compiler = Compiler::new(SimConfig::tiny(), CompilerOptions::default());
-        cache.compile_spec(&compiler, &gemm(16)).unwrap();
-        cache.compile_spec(&compiler, &gemm(16)).unwrap();
-        let stats = cache.stats();
-        let json = stats.to_json();
-        let back = CompileCacheStats::from_json(&json).unwrap();
-        assert_eq!(stats, back);
     }
 }

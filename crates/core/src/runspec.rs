@@ -50,7 +50,9 @@ use ptsim_models::{self as models, ModelSpec};
 use ptsim_togsim::{ExecutionBackend, SimReport};
 use std::sync::Arc;
 
-/// Largest accepted value for any single model dimension.
+/// Largest accepted value for any single model dimension. The config's
+/// bounds (counts, latencies, timings) sit with `SimConfig::validate` as
+/// `ptsim_common::config::MAX_*`.
 pub const MAX_DIM: usize = 16_384;
 /// Largest accepted transformer layer count.
 pub const MAX_LAYERS: usize = 128;
@@ -238,35 +240,29 @@ impl ToJson for ModelRequest {
 impl FromJson for ModelRequest {
     fn from_json(v: &Json) -> std::result::Result<Self, String> {
         match v.req_str("kind")? {
-            "gemm" => Ok(ModelRequest::Gemm { n: v.req_usize("n")? }),
-            "gemm_rect" => Ok(ModelRequest::GemmRect {
-                m: v.req_usize("m")?,
-                k: v.req_usize("k")?,
-                n: v.req_usize("n")?,
-            }),
-            "mlp" => Ok(ModelRequest::Mlp {
-                batch: v.req_usize("batch")?,
-                hidden: v.req_usize("hidden")?,
-            }),
+            "gemm" => Ok(ModelRequest::Gemm { n: v.field("n")? }),
+            "gemm_rect" => {
+                Ok(ModelRequest::GemmRect { m: v.field("m")?, k: v.field("k")?, n: v.field("n")? })
+            }
+            "mlp" => Ok(ModelRequest::Mlp { batch: v.field("batch")?, hidden: v.field("hidden")? }),
             "conv" => Ok(ModelRequest::Conv {
-                batch: v.req_usize("batch")?,
-                channels: v.req_usize("channels")?,
-                hw: v.req_usize("hw")?,
+                batch: v.field("batch")?,
+                channels: v.field("channels")?,
+                hw: v.field("hw")?,
             }),
-            "layernorm" => Ok(ModelRequest::LayerNorm {
-                rows: v.req_usize("rows")?,
-                cols: v.req_usize("cols")?,
-            }),
+            "layernorm" => {
+                Ok(ModelRequest::LayerNorm { rows: v.field("rows")?, cols: v.field("cols")? })
+            }
             "softmax" => {
-                Ok(ModelRequest::Softmax { rows: v.req_usize("rows")?, cols: v.req_usize("cols")? })
+                Ok(ModelRequest::Softmax { rows: v.field("rows")?, cols: v.field("cols")? })
             }
             "bert" => Ok(ModelRequest::Bert {
-                seq: v.req_usize("seq")?,
-                batch: v.req_usize("batch")?,
-                hidden: v.req_usize("hidden")?,
-                layers: v.req_usize("layers")?,
-                heads: v.req_usize("heads")?,
-                intermediate: v.req_usize("intermediate")?,
+                seq: v.field("seq")?,
+                batch: v.field("batch")?,
+                hidden: v.field("hidden")?,
+                layers: v.field("layers")?,
+                heads: v.field("heads")?,
+                intermediate: v.field("intermediate")?,
             }),
             other => Err(format!(
                 "unknown model kind {other:?} (expected gemm, gemm_rect, mlp, conv, \
@@ -536,14 +532,7 @@ impl ToJson for RunSpec {
 /// The declared wire version of a request object: the `"v"` key, or 1 when
 /// absent (the original, pre-versioning schema).
 fn wire_version(v: &Json) -> std::result::Result<u64, String> {
-    match v.get("v") {
-        None => Ok(1),
-        Some(n) => n
-            .as_num()
-            .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as u64)
-            .ok_or_else(|| "\"v\" must be a non-negative integer".to_string()),
-    }
+    Ok(v.field::<Option<u64>>("v")?.unwrap_or(1))
 }
 
 impl FromJson for RunSpec {
@@ -584,15 +573,7 @@ impl FromJson for RunSpec {
             Some(f) => FidelitySpec::from_json(f)?,
             None => FidelitySpec::Tls,
         };
-        let max_cycles = match v.get("max_cycles") {
-            Some(Json::Null) | None => None,
-            Some(m) => Some(
-                m.as_num()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| "max_cycles must be a non-negative integer".to_string())?,
-            ),
-        };
+        let max_cycles = v.field("max_cycles")?;
         Ok(RunSpec { model, config, options, fidelity, max_cycles, backend, profile })
     }
 }

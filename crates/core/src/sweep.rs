@@ -39,7 +39,7 @@
 use crate::cache::{CompileCache, CompileCacheStats};
 use crate::simulator::{RunOptions, Simulator};
 use ptsim_common::config::SimConfig;
-use ptsim_common::json::{FromJson, Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::{CancelToken, Result};
 use ptsim_compiler::CompilerOptions;
 use ptsim_models::ModelSpec;
@@ -265,45 +265,8 @@ impl SweepReport {
     }
 }
 
-impl ToJson for PointResult {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("label", Json::str(&self.label))
-            .set("report", self.report.to_json())
-            .set("wall_seconds", Json::num(self.wall_seconds))
-    }
-}
-
-impl FromJson for PointResult {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(PointResult {
-            label: v.req_str("label")?.to_string(),
-            report: SimReport::from_json(v.req("report")?)?,
-            wall_seconds: v.req_num("wall_seconds")?,
-        })
-    }
-}
-
-impl ToJson for SweepReport {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("results", self.results.to_json())
-            .set("jobs", Json::u64(self.jobs as u64))
-            .set("wall_seconds", Json::num(self.wall_seconds))
-            .set("cache", self.cache.to_json())
-    }
-}
-
-impl FromJson for SweepReport {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        Ok(SweepReport {
-            results: Vec::from_json(v.req("results")?)?,
-            jobs: v.req_usize("jobs")?,
-            wall_seconds: v.req_num("wall_seconds")?,
-            cache: crate::cache::CompileCacheStats::from_json(v.req("cache")?)?,
-        })
-    }
-}
+json_record!(ToJson for PointResult { label, report, wall_seconds });
+json_record!(ToJson for SweepReport { results, jobs, wall_seconds, cache });
 
 /// A declared grid of simulation points, executed by a worker pool with
 /// deterministic, input-ordered collection.

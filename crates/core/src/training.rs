@@ -9,7 +9,7 @@
 //! iterations), matching the paper's observation that functional outputs
 //! can be computed on the host.
 
-use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::{Error, Result};
 use ptsim_graph::autodiff::build_training_graph;
 use ptsim_graph::exec::execute;
@@ -39,16 +39,13 @@ impl TrainingRun {
     }
 }
 
-impl ToJson for TrainingRun {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("losses", Json::Arr(self.losses.iter().map(|&l| Json::num(l)).collect()))
-            .set("cycles_per_iteration", Json::u64(self.cycles_per_iteration))
-            .set("total_cycles", Json::u64(self.total_cycles))
-            .set("iterations", Json::u64(self.iterations as u64))
-            .set("final_accuracy", Json::num(self.final_accuracy))
-    }
-}
+json_record!(ToJson for TrainingRun {
+    losses,
+    cycles_per_iteration,
+    total_cycles,
+    iterations,
+    final_accuracy,
+});
 
 /// The forward+backward pass of `spec` as a compilable model: the
 /// autodiff-expanded graph under the canonical `{name}_train` name. Its

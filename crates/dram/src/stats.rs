@@ -1,7 +1,7 @@
 //! DRAM activity statistics.
 
 use crate::channel::{MemRequest, RowOutcome};
-use ptsim_common::json::{FromJson, Json, ToJson};
+use ptsim_common::json_record;
 use std::collections::HashMap;
 
 /// Counters accumulated by the DRAM model.
@@ -92,34 +92,16 @@ impl DramStats {
     }
 }
 
-impl ToJson for DramStats {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("reads", Json::u64(self.reads))
-            .set("writes", Json::u64(self.writes))
-            .set("row_hits", Json::u64(self.row_hits))
-            .set("row_misses", Json::u64(self.row_misses))
-            .set("row_conflicts", Json::u64(self.row_conflicts))
-            .set("bytes", Json::u64(self.bytes))
-            .set("total_latency", Json::u64(self.total_latency))
-            .set("bytes_by_tag", self.bytes_by_tag.to_json())
-    }
-}
-
-impl FromJson for DramStats {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(DramStats {
-            reads: v.req_u64("reads")?,
-            writes: v.req_u64("writes")?,
-            row_hits: v.req_u64("row_hits")?,
-            row_misses: v.req_u64("row_misses")?,
-            row_conflicts: v.req_u64("row_conflicts")?,
-            bytes: v.req_u64("bytes")?,
-            total_latency: v.req_u64("total_latency")?,
-            bytes_by_tag: HashMap::from_json(v.req("bytes_by_tag")?)?,
-        })
-    }
-}
+json_record!(DramStats {
+    reads,
+    writes,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    bytes,
+    total_latency,
+    bytes_by_tag,
+});
 
 #[cfg(test)]
 mod tests {
@@ -157,6 +139,7 @@ mod tests {
 
     #[test]
     fn stats_json_round_trips() {
+        use ptsim_common::json::{FromJson, ToJson};
         let mut s = DramStats::default();
         let r = MemRequest::read(RequestId::new(0), 0, 64, 3);
         s.record(&r, RowOutcome::Hit, 10);

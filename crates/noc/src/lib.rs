@@ -34,7 +34,7 @@
 
 use ptsim_common::config::{ChipletLinkConfig, NocConfig, NocKind};
 use ptsim_common::cycles::ns_to_cycles;
-use ptsim_common::json::{FromJson, Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::{Cycle, RequestId};
 use ptsim_event::{CompletionSource, Component};
 use std::cmp::Reverse;
@@ -77,26 +77,7 @@ impl NocStats {
     }
 }
 
-impl ToJson for NocStats {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("messages", Json::u64(self.messages))
-            .set("bytes", Json::u64(self.bytes))
-            .set("link_crossings", Json::u64(self.link_crossings))
-            .set("total_latency", Json::u64(self.total_latency))
-    }
-}
-
-impl FromJson for NocStats {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(NocStats {
-            messages: v.req_u64("messages")?,
-            bytes: v.req_u64("bytes")?,
-            link_crossings: v.req_u64("link_crossings")?,
-            total_latency: v.req_u64("total_latency")?,
-        })
-    }
-}
+json_record!(NocStats { messages, bytes, link_crossings, total_latency });
 
 /// The interconnect simulator (SN or CN, with optional chiplet overlay).
 #[derive(Debug, Clone)]

@@ -19,7 +19,8 @@
 
 use crate::client::HttpClient;
 use ptsim_common::config::SimConfig;
-use ptsim_common::json::{Json, ToJson};
+use ptsim_common::json::ToJson;
+use ptsim_common::json_record;
 use ptsim_trace::Histogram;
 use pytorchsim::{ModelRequest, RunSpec};
 use std::net::SocketAddr;
@@ -156,29 +157,27 @@ pub struct LoadReport {
     pub max_us: u64,
 }
 
-impl LoadReport {
-    /// Machine-readable form, for `reports/` artifacts.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("mix", Json::str(&self.mix))
-            .set("conns", Json::u64(self.conns as u64))
-            .set("rps_target", Json::num(self.rps_target))
-            .set("wall_seconds", Json::num(self.wall_seconds))
-            .set("sent", Json::u64(self.sent))
-            .set("ok", Json::u64(self.ok))
-            .set("cache_hits", Json::u64(self.cache_hits))
-            .set("rejected_429", Json::u64(self.rejected_429))
-            .set("rejected_503", Json::u64(self.rejected_503))
-            .set("other_status", Json::u64(self.other_status))
-            .set("transport_errors", Json::u64(self.transport_errors))
-            .set("throughput_rps", Json::num(self.throughput_rps))
-            .set("p50_us", Json::u64(self.p50_us))
-            .set("p95_us", Json::u64(self.p95_us))
-            .set("p99_us", Json::u64(self.p99_us))
-            .set("mean_us", Json::num(self.mean_us))
-            .set("max_us", Json::u64(self.max_us))
-    }
+json_record!(ToJson for LoadReport {
+    mix,
+    conns,
+    rps_target,
+    wall_seconds,
+    sent,
+    ok,
+    cache_hits,
+    rejected_429,
+    rejected_503,
+    other_status,
+    transport_errors,
+    throughput_rps,
+    p50_us,
+    p95_us,
+    p99_us,
+    mean_us,
+    max_us,
+});
 
+impl LoadReport {
     /// Human-readable one-screen summary.
     pub fn summary(&self) -> String {
         format!(

@@ -1,6 +1,6 @@
 //! Simulation result reporting.
 
-use ptsim_common::json::{FromJson, Json, ToJson};
+use ptsim_common::json_record;
 use ptsim_common::Cycle;
 use ptsim_dram::DramStats;
 use ptsim_noc::NocStats;
@@ -72,55 +72,8 @@ impl SimReport {
     }
 }
 
-impl ToJson for JobReport {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("name", Json::str(&self.name))
-            .set("start", Json::u64(self.start.raw()))
-            .set("end", Json::u64(self.end.raw()))
-            .set("dma_bytes", Json::u64(self.dma_bytes))
-            .set("compute_nodes", Json::u64(self.compute_nodes as u64))
-            .set("tag", Json::u64(self.tag as u64))
-    }
-}
-
-impl FromJson for JobReport {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(JobReport {
-            name: v.req_str("name")?.to_string(),
-            start: Cycle::new(v.req_u64("start")?),
-            end: Cycle::new(v.req_u64("end")?),
-            dma_bytes: v.req_u64("dma_bytes")?,
-            compute_nodes: v.req_usize("compute_nodes")?,
-            tag: v.req_u64("tag")? as u32,
-        })
-    }
-}
-
-impl ToJson for SimReport {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("total_cycles", Json::u64(self.total_cycles))
-            .set("jobs", self.jobs.to_json())
-            .set("dram", self.dram.to_json())
-            .set("noc", self.noc.to_json())
-            .set("matrix_busy", Json::u64(self.matrix_busy))
-            .set("vector_busy", Json::u64(self.vector_busy))
-    }
-}
-
-impl FromJson for SimReport {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(SimReport {
-            total_cycles: v.req_u64("total_cycles")?,
-            jobs: Vec::from_json(v.req("jobs")?)?,
-            dram: DramStats::from_json(v.req("dram")?)?,
-            noc: NocStats::from_json(v.req("noc")?)?,
-            matrix_busy: v.req_u64("matrix_busy")?,
-            vector_busy: v.req_u64("vector_busy")?,
-        })
-    }
-}
+json_record!(JobReport { name, start, end, dma_bytes, compute_nodes, tag });
+json_record!(SimReport { total_cycles, jobs, dram, noc, matrix_busy, vector_busy });
 
 #[cfg(test)]
 mod tests {
@@ -142,6 +95,7 @@ mod tests {
 
     #[test]
     fn sim_report_json_round_trips() {
+        use ptsim_common::json::{FromJson, ToJson};
         let mut dram = DramStats { bytes: 4096, ..DramStats::default() };
         dram.bytes_by_tag.insert(0, 4096);
         let report = SimReport {

@@ -263,7 +263,9 @@ fn sweep_returns_input_ordered_json_lines_matching_direct_runs() {
 
 #[test]
 fn error_codes_are_typed() {
-    let handle = start(ServeConfig::default()).unwrap();
+    // One worker: a request that killed it would leave every later miss
+    // unanswered.
+    let handle = start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
     let mut client = HttpClient::new(handle.addr());
 
     assert_eq!(client.post("/v1/simulate", "{not json").unwrap().status, 400);
@@ -277,6 +279,24 @@ fn error_codes_are_typed() {
     let parsed = parse_json(&resp.body).unwrap();
     assert_eq!(parsed.req_u64("status").unwrap(), 422);
     assert!(!parsed.req_str("error").unwrap().is_empty());
+
+    // Hostile numbers: a fraction or a magnitude past 2^53 is a malformed
+    // request, an in-range but absurd size an invalid config. Neither may
+    // panic, abort or strand the worker: a fresh miss is still answered.
+    let tiny = tiny_spec(16).canonical_json();
+    for (channels, status, fresh) in
+        [("2.5", 400, 8), ("1e20", 400, 24), ("1099511627776", 422, 40)]
+    {
+        let body = tiny.replace("\"channels\":2,", &format!("\"channels\":{channels},"));
+        assert_ne!(body, tiny);
+        let resp = client.post("/v1/simulate", &body).unwrap();
+        assert_eq!(resp.status, status, "channels {channels}: {}", resp.body);
+        assert!(resp.body.contains("channels"), "channels {channels}: {}", resp.body);
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        let resp = client.post("/v1/simulate", &tiny_spec(fresh).canonical_json()).unwrap();
+        assert_eq!(resp.status, 200, "fresh miss after channels {channels}: {}", resp.body);
+        assert_eq!(report_from_body(&resp.body), direct_gemm(fresh));
+    }
 
     handle.shutdown();
     handle.join();
