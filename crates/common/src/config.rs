@@ -147,7 +147,7 @@ impl DramConfig {
         ns_to_cycles(ns, freq_mhz)
     }
 
-    /// Validates internal consistency and the bounds above.
+    /// Validates internal consistency and the `MAX_*` bounds.
     pub fn validate(&self) -> Result<()> {
         count("dram channels", self.channels)?;
         count("dram banks per channel", self.banks_per_channel)?;
@@ -246,7 +246,7 @@ impl NocConfig {
         NocConfig { kind: NocKind::Simple, ..Self::crossbar_tpu_v3() }
     }
 
-    /// Validates internal consistency and the bounds above.
+    /// Validates internal consistency and the `MAX_*` bounds.
     pub fn validate(&self) -> Result<()> {
         bytes("noc flit bytes", self.flit_bytes)?;
         bytes("noc port bandwidth", self.bytes_per_cycle)?;
@@ -295,7 +295,7 @@ impl L1CacheConfig {
         (self.size_bytes / (self.line_bytes * self.ways as u64).max(1)).max(1) as usize
     }
 
-    /// Validates internal consistency and the bounds above.
+    /// Validates internal consistency and the `MAX_*` bounds.
     pub fn validate(&self) -> Result<()> {
         count("l1 ways", self.ways)?;
         power_of_two("l1 line bytes", self.line_bytes)?;
@@ -404,7 +404,7 @@ impl NpuConfig {
         t.raw() as f64 / (self.freq_mhz * 1e6)
     }
 
-    /// Validates internal consistency and the bounds above.
+    /// Validates internal consistency and the `MAX_*` bounds.
     pub fn validate(&self) -> Result<()> {
         count("npu cores", self.cores)?;
         count("systolic rows", self.systolic_rows)?;
@@ -434,10 +434,10 @@ impl NpuConfig {
                 self.freq_mhz
             )));
         }
-        match &self.l1_cache {
-            Some(l1) => l1.validate(),
-            None => Ok(()),
+        if let Some(l1) = &self.l1_cache {
+            l1.validate()?;
         }
+        Ok(())
     }
 }
 
