@@ -7,9 +7,10 @@
 //!   serializes its injected bytes at the configured rate and every message
 //!   pays the zero-load latency.
 //! - [`NocKind::Crossbar`]: a flit-level crossbar (CN). Messages are
-//!   segmented into flits; input and output ports each accept one flit per
-//!   cycle, so concurrent messages to one output serialize — the contention
-//!   behaviour that matters when interconnect bandwidth is constrained.
+//!   segmented into flits; input and output ports each accept `port_links`
+//!   flits per cycle, so concurrent messages to one output serialize — the
+//!   contention behaviour that matters when interconnect bandwidth is
+//!   constrained.
 //!
 //! An optional chiplet overlay (§5.4) splits the ports between chiplets and
 //! routes crossing messages over a per-direction serialized off-chip link
@@ -18,6 +19,12 @@
 //! Both variants implement the [`ptsim_event::Component`] protocol (and
 //! [`ptsim_event::CompletionSource`] for allocation-free delivery draining),
 //! so any event-kernel driver can schedule them generically.
+//!
+//! Undelivered messages wait in one FIFO per destination port. Every send to
+//! a port moves that port's ejection frontier forward, so arrival times never
+//! decrease within a FIFO: each `advance` takes the due prefix of every
+//! non-empty FIFO and sorts just that batch by `(arrival, id)`, which is the
+//! order a global priority queue would pop them in.
 //!
 //! # Examples
 //!
@@ -36,9 +43,7 @@ use ptsim_common::config::{ChipletLinkConfig, NocConfig, NocKind};
 use ptsim_common::cycles::ns_to_cycles;
 use ptsim_common::json_record;
 use ptsim_common::{Cycle, RequestId};
-use ptsim_event::{CompletionSource, Component};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use ptsim_event::{CompletionSource, Component, DrainFifo};
 
 /// One message travelling through the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +96,16 @@ pub struct NocSim {
     in_free: Vec<u64>,
     out_free: Vec<u64>,
     chiplet: Option<ChipletState>,
-    queue: BinaryHeap<Reverse<(u64, RequestId)>>,
+    /// Per destination port: undelivered messages in send order, which is
+    /// also non-decreasing arrival order (see [`NocSim::try_send`]).
+    pending: Vec<DrainFifo<RequestId>>,
+    /// Ports whose `pending` FIFO is non-empty, in no particular order.
+    active: Vec<usize>,
+    /// Undelivered messages across every port.
+    in_flight: usize,
+    /// Earliest arrival at an `active` FIFO's head; `u64::MAX` when nothing
+    /// is in flight.
+    next_ready: u64,
     delivered: Vec<(RequestId, Cycle)>,
     stats: NocStats,
     max_in_flight: usize,
@@ -148,7 +162,10 @@ impl NocSim {
             in_free: vec![0; ports],
             out_free: vec![0; ports],
             chiplet: cfg.chiplet.as_ref().map(|c| ChipletState::new(c, ports, freq_mhz)),
-            queue: BinaryHeap::new(),
+            pending: vec![DrainFifo::new(); ports],
+            active: Vec::new(),
+            in_flight: 0,
+            next_ready: u64::MAX,
             delivered: Vec::new(),
             stats: NocStats::default(),
             max_in_flight: 1 << 20,
@@ -213,7 +230,7 @@ impl NocSim {
     /// Panics if `src` or `dst` is not a valid port.
     pub fn try_send(&mut self, msg: NocMessage, now: Cycle) -> bool {
         assert!(msg.src < self.ports && msg.dst < self.ports, "port out of range");
-        if self.queue.len() >= self.max_in_flight {
+        if self.in_flight >= self.max_in_flight {
             return false;
         }
         let now = now.raw();
@@ -244,7 +261,9 @@ impl NocSim {
             }
         }
 
-        // Output-port serialization (ejection).
+        // Output-port serialization (ejection). `ej_end` strictly increases
+        // per destination (it becomes the port's new `out_free`), so `ready`
+        // never decreases within the destination's FIFO.
         let ej_start = (t * rate).max(self.out_free[msg.dst]);
         let ej_end = ej_start + units;
         self.out_free[msg.dst] = ej_end;
@@ -262,20 +281,46 @@ impl NocSim {
         if let Some(c) = &self.counters {
             c.record_noc_flits(msg.src, msg.dst, ready, units);
         }
-        self.queue.push(Reverse((ready, msg.id)));
+        let fifo = &mut self.pending[msg.dst];
+        if fifo.is_empty() {
+            self.active.push(msg.dst);
+        }
+        // `DrainFifo::push` debug-asserts that arrivals never decrease.
+        fifo.push(Cycle::new(ready), msg.id);
+        self.in_flight += 1;
+        self.next_ready = self.next_ready.min(ready);
         true
     }
 
-    /// Delivers every message whose arrival time is ≤ `to`.
+    /// Delivers every message whose arrival time is ≤ `to`, in
+    /// `(arrival, id)` order.
     pub fn advance(&mut self, to: Cycle) {
         let horizon = to.raw();
-        while let Some(&Reverse((ready, id))) = self.queue.peek() {
-            if ready > horizon {
-                break;
-            }
-            self.queue.pop();
-            self.delivered.push((id, Cycle::new(ready)));
+        if horizon < self.next_ready {
+            return;
         }
+        let start = self.delivered.len();
+        let mut next = u64::MAX;
+        let mut i = 0;
+        while i < self.active.len() {
+            let fifo = &mut self.pending[self.active[i]];
+            while let Some((ready, &id)) = fifo.front() {
+                if ready.raw() > horizon {
+                    next = next.min(ready.raw());
+                    break;
+                }
+                fifo.pop_front();
+                self.delivered.push((id, ready));
+            }
+            if fifo.is_empty() {
+                self.active.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        self.in_flight -= self.delivered.len() - start;
+        self.next_ready = next;
+        self.delivered[start..].sort_unstable_by_key(|&(id, at)| (at, id));
     }
 
     /// Drains the delivered-message list.
@@ -288,12 +333,12 @@ impl NocSim {
 
     /// True if messages are still in flight.
     pub fn busy(&self) -> bool {
-        !self.queue.is_empty()
+        self.in_flight > 0
     }
 
     /// Earliest pending delivery time, if any.
     pub fn next_event(&self) -> Option<Cycle> {
-        self.queue.peek().map(|&Reverse((ready, _))| Cycle::new(ready))
+        self.busy().then(|| Cycle::new(self.next_ready))
     }
 
     /// Accumulated statistics.
@@ -327,6 +372,7 @@ impl CompletionSource for NocSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ptsim_common::config::NocConfig;
 
     fn send(noc: &mut NocSim, id: u64, src: usize, dst: usize, bytes: u64, at: u64) {
@@ -444,5 +490,115 @@ mod tests {
         assert_eq!(s.messages, 2);
         assert_eq!(s.bytes, 128);
         assert!(s.mean_latency() > 0.0);
+    }
+
+    /// One random step: route bits, payload bytes, send offset past the
+    /// current horizon, advance gap past the send, and whether to advance
+    /// to the same horizon twice.
+    type Step = (u64, u64, u64, u64, bool);
+
+    /// Drives `steps` through one interconnect advancing after every send
+    /// and a clone advanced once at the end, checking the delivery-order
+    /// contract of the per-destination FIFOs against the arrival times
+    /// read back from the latency statistics.
+    fn check_delivery_order(
+        cfg: &NocConfig,
+        ports: usize,
+        map: Option<Vec<usize>>,
+        steps: &[Step],
+    ) -> Result<(), String> {
+        let mut noc = NocSim::new(cfg, ports, 940.0);
+        if let Some(map) = map {
+            noc.set_chiplet_map(map);
+        }
+        let mut oneshot = noc.clone();
+        let mut log: Vec<(RequestId, Cycle)> = Vec::new();
+        let mut pending: Vec<(u64, RequestId)> = Vec::new();
+        let mut last_ready = vec![0u64; ports];
+        let mut horizon = 0u64;
+        for (i, &(route, bytes, offset, gap, repeat)) in steps.iter().enumerate() {
+            let src = (route % ports as u64) as usize;
+            let dst = ((route >> 32) % ports as u64) as usize;
+            // A permutation of the step index: ids reach the NoC out of
+            // order, as retried transactions do.
+            let id = RequestId::new(i as u64 * 7919 % 65521);
+            let msg = NocMessage { id, src, dst, bytes };
+            let at = horizon + offset;
+            let before = noc.stats().total_latency;
+            prop_assert!(
+                noc.try_send(msg, Cycle::new(at)) && oneshot.try_send(msg, Cycle::new(at))
+            );
+            let ready = at + noc.stats().total_latency - before;
+            prop_assert!(
+                ready >= last_ready[dst],
+                "port {dst}: arrival {ready} after {}",
+                last_ready[dst]
+            );
+            last_ready[dst] = ready;
+            pending.push((ready, id));
+            let advances = if repeat { 2 } else { 1 };
+            for _ in 0..advances {
+                let prev = horizon;
+                horizon = at + gap;
+                noc.advance(Cycle::new(horizon));
+                for (id, c) in noc.pop_delivered() {
+                    prop_assert!(
+                        prev < c.raw() && c.raw() <= horizon,
+                        "{id:?} delivered at {c} outside ({prev}, {horizon}]"
+                    );
+                    let k = pending.iter().position(|&(_, p)| p == id).ok_or("unknown id")?;
+                    prop_assert_eq!(pending.swap_remove(k).0, c.raw());
+                    log.push((id, c));
+                }
+                let earliest = pending.iter().map(|&(r, _)| Cycle::new(r)).min();
+                prop_assert_eq!(noc.next_event(), earliest);
+            }
+        }
+        let end = Cycle::new(horizon + (1 << 40));
+        noc.advance(end);
+        log.extend(noc.pop_delivered());
+        prop_assert!(!noc.busy() && noc.next_event().is_none());
+        prop_assert!(
+            log.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+            "deliveries not sorted by (cycle, id)"
+        );
+        prop_assert_eq!(log.len(), steps.len());
+        oneshot.advance(end);
+        prop_assert!(oneshot.pop_delivered() == log, "stepwise and one-shot deliveries differ");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn deliveries_follow_arrival_then_id_order(
+            steps in proptest::collection::vec(
+                (any::<u64>(), 1u64..2048, 0u64..4, 0u64..40, any::<bool>()),
+                1..300,
+            ),
+            shape in (any::<bool>(), 2usize..9, 1u64..5, 0u64..12, 1u64..256),
+            chiplet in (0usize..4, 8u64..64, 0u64..40, any::<bool>()),
+            map in proptest::collection::vec(0usize..3, 8..9),
+        ) {
+            let (crossbar, ports, port_links, latency, bytes_per_cycle) = shape;
+            let (chiplets, link_bytes_per_cycle, link_latency_ns, explicit_map) = chiplet;
+            let cfg = NocConfig {
+                kind: if crossbar { NocKind::Crossbar } else { NocKind::Simple },
+                latency_cycles: latency,
+                bytes_per_cycle,
+                port_links,
+                chiplet: (chiplets > 1).then_some(ChipletLinkConfig {
+                    chiplets,
+                    link_bytes_per_cycle,
+                    link_latency_ns: link_latency_ns as f64,
+                }),
+                ..NocConfig::crossbar_tpu_v3()
+            };
+            let map = (chiplets > 1 && explicit_map).then(|| map[..ports].to_vec());
+            if let Err(e) = check_delivery_order(&cfg, ports, map, &steps) {
+                prop_assert!(false, "{cfg:?}, {ports} ports: {e}");
+            }
+        }
     }
 }

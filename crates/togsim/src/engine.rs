@@ -19,29 +19,8 @@ use ptsim_noc::{NocMessage, NocSim};
 use ptsim_obs::{BusyUnit, CounterHub, QueueSite};
 use ptsim_tog::{ExecUnit, ExecutableTog, FlatNodeKind};
 use ptsim_trace::{Counter, Lane, MetricsRegistry, Tracer};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Multiplicative hasher for the request-id keyed in-flight map: ids are
-/// sequential u64s, so SipHash's DoS resistance buys nothing and its cost
-/// shows up on every transaction (two map ops per hop).
-#[derive(Default)]
-struct TxHasher(u64);
-
-impl Hasher for TxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Identifies a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,6 +196,64 @@ struct TxRef {
     addr: u64,
 }
 
+/// In-flight transactions, indexed by `rid - base`.
+///
+/// Ids are drawn in increasing order before admission is tried, so a refused
+/// attempt or an L1 hit leaves a hole (`None`) and ids are never renumbered.
+/// Retiring the oldest transaction pops the leading holes, so the window
+/// spans the oldest live id to the newest one.
+#[derive(Debug, Default)]
+struct TxRing {
+    base: u64,
+    slots: VecDeque<Option<TxRef>>,
+    live: usize,
+}
+
+impl TxRing {
+    /// Registers `tx` under `rid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rid` is below the window or already live.
+    fn insert(&mut self, rid: RequestId, tx: TxRef) {
+        if self.slots.is_empty() {
+            self.base = rid.raw();
+        }
+        let i = rid.raw().checked_sub(self.base).expect("transaction id below the ring window");
+        let i = usize::try_from(i).expect("ring window fits in memory");
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        assert!(self.slots[i].replace(tx).is_none(), "transaction {rid:?} already in flight");
+        self.live += 1;
+    }
+
+    fn slot(&mut self, rid: RequestId) -> Option<&mut Option<TxRef>> {
+        let i = usize::try_from(rid.raw().checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)
+    }
+
+    fn get_mut(&mut self, rid: RequestId) -> Option<&mut TxRef> {
+        self.slot(rid)?.as_mut()
+    }
+
+    /// Retires `rid`, then drops the holes at the front of the window.
+    fn remove(&mut self, rid: RequestId) -> Option<TxRef> {
+        let tx = self.slot(rid)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(tx)
+    }
+
+    /// Live transactions.
+    fn len(&self) -> usize {
+        self.live
+    }
+}
+
 struct Core {
     matrix_free: Cycle,
     vector_free: Cycle,
@@ -328,7 +365,7 @@ pub struct TogSim {
     caches: Vec<Option<L1Cache>>,
     jobs: Vec<Job>,
     dma_slab: Vec<DmaJob>,
-    tx_refs: HashMap<RequestId, TxRef, BuildHasherDefault<TxHasher>>,
+    tx_refs: TxRing,
     /// Transactions refused by a full memory system, parked until it
     /// drains: one FIFO per DRAM channel (channels fill independently) and
     /// one for the NoC (its back-pressure is global).
@@ -391,7 +428,7 @@ impl TogSim {
             caches: (0..cfg.npu.cores).map(|_| cfg.npu.l1_cache.map(L1Cache::new)).collect(),
             jobs: Vec::new(),
             dma_slab: Vec::new(),
-            tx_refs: HashMap::default(),
+            tx_refs: TxRing::default(),
             retry_dram: vec![VecDeque::new(); cfg.dram.channels],
             retry_noc: VecDeque::new(),
             #[cfg(test)]
@@ -1063,7 +1100,7 @@ impl TogSim {
         self.dram.drain_completions_into(&mut buf);
         for (rid, at) in buf.drain(..) {
             drained += 1;
-            let Some(tx) = self.tx_refs.get_mut(&rid) else {
+            let Some(tx) = self.tx_refs.get_mut(rid) else {
                 continue;
             };
             let TxRef { dma_id, addr, phase } = *tx;
@@ -1082,7 +1119,7 @@ impl TogSim {
                     }
                 }
                 TxPhase::WriteDram => {
-                    self.tx_refs.remove(&rid);
+                    self.tx_refs.remove(rid);
                     self.finish_tx(dma_id);
                 }
                 _ => {}
@@ -1094,13 +1131,13 @@ impl TogSim {
         self.noc.drain_completions_into(&mut buf);
         for (rid, at) in buf.drain(..) {
             drained += 1;
-            let Some(tx) = self.tx_refs.get_mut(&rid) else {
+            let Some(tx) = self.tx_refs.get_mut(rid) else {
                 continue;
             };
             let TxRef { dma_id, addr, phase } = *tx;
             match phase {
                 TxPhase::ReadNoc => {
-                    self.tx_refs.remove(&rid);
+                    self.tx_refs.remove(rid);
                     self.finish_tx(dma_id);
                 }
                 TxPhase::WriteNoc => {
@@ -1531,12 +1568,25 @@ mod retry_tests {
         let mut ids = RequestIdGen::new();
         for ch in 0..channels {
             let addr = |i: u64| (i * channels + ch) * tx;
+            // Every write is in flight, admitted or parked, as the engine
+            // registers it before offering it to DRAM.
+            let mut write = |sim: &mut TogSim, i: u64| {
+                let req = MemRequest::write(ids.next_id(), addr(i), tx, 0);
+                let phase = TxPhase::WriteDram;
+                sim.tx_refs.insert(req.id, TxRef { dma_id: 0, phase, addr: req.addr });
+                req
+            };
             let mut i = 0;
-            while sim.mem_enqueue(MemRequest::write(ids.next_id(), addr(i), tx, 0), Cycle::ZERO) {
+            loop {
+                let req = write(&mut sim, i);
+                if !sim.mem_enqueue(req, Cycle::ZERO) {
+                    sim.tx_refs.remove(req.id);
+                    break;
+                }
                 i += 1;
             }
             for k in 0..per_channel {
-                let req = MemRequest::write(ids.next_id(), addr(i + k), tx, 0);
+                let req = write(&mut sim, i + k);
                 sim.retry_dram[ch as usize].push_back(req);
             }
         }
@@ -1575,7 +1625,13 @@ mod retry_tests {
         let Error::SimulationFault(msg) = sim.deadlock_fault() else {
             panic!("deadlock must be a simulation fault");
         };
-        assert!(msg.contains("14 dram retries, 0 noc retries"), "{msg}");
+        // Two channels x 32 admitted writes, plus the 14 parked ones; the
+        // refused probe per channel left a hole in the ring, not an entry.
+        assert_eq!(sim.tx_refs.len(), 78);
+        assert!(
+            msg.contains("in-flight: 78 transactions, 14 dram retries, 0 noc retries"),
+            "{msg}"
+        );
     }
 }
 
@@ -1682,5 +1738,79 @@ mod trace_tests {
         sim.add_job(b.finish().expand().unwrap(), JobSpec::default());
         sim.run().unwrap();
         assert_eq!(sim.chrome_trace(), "[]");
+    }
+}
+
+#[cfg(test)]
+mod ring_tests {
+    use super::*;
+
+    fn tx(dma_id: usize) -> TxRef {
+        TxRef { dma_id, phase: TxPhase::ReadDram, addr: 0 }
+    }
+
+    fn rid(id: u64) -> RequestId {
+        RequestId::new(id)
+    }
+
+    /// Ids 0, 3 and 7 live; 1, 2, 4, 5 and 6 were drawn and never inserted.
+    fn holey() -> TxRing {
+        let mut ring = TxRing::default();
+        for id in [0, 3, 7] {
+            ring.insert(rid(id), tx(id as usize));
+        }
+        ring
+    }
+
+    #[test]
+    fn holes_from_unused_ids_are_empty_slots() {
+        let mut ring = holey();
+        assert_eq!((ring.len(), ring.base, ring.slots.len()), (3, 0, 8));
+        for id in [1, 2, 4, 5, 6, 8, 1 << 40] {
+            assert!(ring.get_mut(rid(id)).is_none(), "id {id}");
+            assert!(ring.remove(rid(id)).is_none(), "id {id}");
+        }
+        assert_eq!(ring.get_mut(rid(3)).map(|t| t.dma_id), Some(3));
+        assert_eq!(ring.len(), 3);
+    }
+
+    #[test]
+    fn out_of_order_retirement_keeps_the_window() {
+        let mut ring = holey();
+        assert_eq!(ring.remove(rid(7)).map(|t| t.dma_id), Some(7));
+        assert_eq!(ring.remove(rid(3)).map(|t| t.dma_id), Some(3));
+        // The oldest id is still live, so nothing compacts.
+        assert_eq!((ring.len(), ring.base, ring.slots.len()), (1, 0, 8));
+        assert!(ring.remove(rid(3)).is_none(), "retired twice");
+        assert_eq!(ring.len(), 1);
+        // A later phase rewrites the entry in place.
+        ring.get_mut(rid(0)).unwrap().phase = TxPhase::ReadNoc;
+        assert!(matches!(ring.get_mut(rid(0)).unwrap().phase, TxPhase::ReadNoc));
+    }
+
+    #[test]
+    fn retiring_the_front_pops_leading_holes() {
+        let mut ring = holey();
+        ring.remove(rid(0));
+        assert_eq!((ring.len(), ring.base, ring.slots.len()), (2, 3, 5));
+        ring.remove(rid(3));
+        assert_eq!((ring.len(), ring.base, ring.slots.len()), (1, 7, 1));
+        ring.remove(rid(7));
+        assert_eq!((ring.len(), ring.base, ring.slots.len()), (0, 8, 0));
+        // An empty ring restarts its window at the next id, however far on.
+        ring.insert(rid(100), tx(1));
+        assert_eq!((ring.len(), ring.base, ring.slots.len()), (1, 100, 1));
+    }
+
+    #[test]
+    fn ids_below_the_base_are_not_found() {
+        let mut ring = holey();
+        ring.remove(rid(0));
+        assert_eq!(ring.base, 3);
+        for id in [0, 1, 2] {
+            assert!(ring.get_mut(rid(id)).is_none(), "id {id}");
+            assert!(ring.remove(rid(id)).is_none(), "id {id}");
+        }
+        assert_eq!(ring.len(), 2);
     }
 }
