@@ -155,9 +155,8 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\\\"quoted\\\"\\n"));
-        // The trace validator ships a strict JSON parser; reuse it to prove
-        // the hand-formatted output parses.
-        let doc = pytorchsim::trace::validate::parse_json(&json).expect("report JSON must parse");
+        // The workspace's strict JSON parser proves the output parses.
+        let doc = pytorchsim::common::json::parse_json(&json).expect("report JSON must parse");
         assert_eq!(doc.get("seeds").and_then(|v| v.as_num()), Some(1.0));
     }
 

@@ -32,6 +32,12 @@ use std::fmt::Write as _;
 /// `f64` holds exactly.
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
+/// The deepest nesting of arrays and objects [`parse_json`] reads. The
+/// reader recurses once per level, so without a bound a body of a few
+/// thousand `[` would overflow a thread's stack; every document this
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -502,11 +508,13 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { src: s, bytes: s.as_bytes(), pos: 0 }
+        Parser { src: s, bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -540,8 +548,15 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -709,6 +724,18 @@ mod tests {
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("[] trailing").is_err());
+    }
+
+    /// Nesting is bounded before it can exhaust the stack: a million `[`
+    /// is an error, not an abort, and `MAX_DEPTH` levels still parse.
+    #[test]
+    fn nesting_past_max_depth_is_an_error() {
+        let err = parse_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&deepest).is_ok());
+        let over = format!("{{\"a\":{deepest}}}");
+        assert!(parse_json(&over).unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod training;
 pub use cache::{CacheKey, CompileCache, CompileCacheStats, StageStats};
 pub use distributed::{ClusterConfig, ClusterIteration, ClusterSim, ScalingReport};
 pub use ptsim_togsim::ExecutionBackend;
-pub use runspec::{FidelitySpec, ModelRequest, RunSpec};
+pub use runspec::{ModelRequest, RunSpec};
 pub use simulator::{RunOptions, Simulator};
 pub use sweep::{Sweep, SweepOptions, SweepPoint, SweepReport};
 pub use training::{train_mlp, training_spec, TrainingRun};

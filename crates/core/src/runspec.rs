@@ -20,24 +20,20 @@
 //! server compares to guard against collisions) simulate identically,
 //! because simulation is deterministic.
 //!
-//! # Wire versioning
+//! # Wire schema
 //!
-//! The schema carries an explicit version in the `"v"` key. A request
-//! without one is **v1** — the original schema, which predates versioning
-//! and has no `"backend"` key. **v2** adds the `"backend"` field selecting
-//! the [`ExecutionBackend`] (`"serial"`, `"parallel:N"`, or
-//! `"reference"`); v1 requests default to the serial backend, and a v1
-//! request that nonetheless carries `"backend"` is rejected rather than
-//! silently reinterpreted. **v3** adds the optional `"profile"` flag
-//! requesting an inline performance-counter summary alongside the report.
-//! To keep fingerprints of pre-existing requests stable, serialization
-//! emits the *lowest* version that can express the spec: `"v":2` unless
-//! `profile` is set, `"v":3` (with `"profile":true`) when it is. As with
-//! `"backend"` at v1, a `"profile"` key on a sub-v3 request is rejected
-//! rather than silently dropped. Versions outside `1..=`[`WIRE_VERSION`]
-//! come back as [`Error::UnsupportedSchema`] from [`RunSpec::parse_wire`],
-//! so servers can tell "speak a newer protocol" apart from "garbage
-//! request".
+//! There is one schema. A request carries `"model"` and optionally
+//! `"config"`, `"options"`, `"fidelity"` (`"tls"` or `"ils"`),
+//! `"profile"` (an inline performance-counter summary alongside the report)
+//! and `"max_cycles"`; absent keys take their defaults and unknown keys are
+//! ignored. The canonical rendering carries no version. A `"v"` key of 1, 2
+//! or 3, which earlier builds emitted, reads as this same schema, so old
+//! requests still parse and, re-rendered, hit the same cache entry. Any
+//! other `"v"` comes back as [`Error::UnsupportedSchema`] from
+//! [`RunSpec::parse_wire`], so servers can tell "speak a different
+//! protocol" apart from "garbage request". A `"backend"` key is one of the
+//! ignored keys: every [`ExecutionBackend`](ptsim_togsim::ExecutionBackend)
+//! yields the same report, so it is not part of a spec's identity.
 
 use crate::cache::CompileCache;
 use crate::simulator::{RunOptions, Simulator};
@@ -47,7 +43,7 @@ use ptsim_common::json::{FromJson, Json, ToJson};
 use ptsim_common::{Error, Result};
 use ptsim_compiler::CompilerOptions;
 use ptsim_models::{self as models, ModelSpec};
-use ptsim_togsim::{ExecutionBackend, SimReport};
+use ptsim_togsim::{Fidelity, SimReport};
 use std::sync::Arc;
 
 /// Largest accepted value for any single model dimension. The config's
@@ -56,11 +52,6 @@ use std::sync::Arc;
 pub const MAX_DIM: usize = 16_384;
 /// Largest accepted transformer layer count.
 pub const MAX_LAYERS: usize = 128;
-/// The highest wire-schema version this build speaks (it accepts
-/// `1..=WIRE_VERSION` and emits the lowest version expressing the spec).
-pub const WIRE_VERSION: u64 = 3;
-/// Largest accepted parallel-backend worker count on the wire.
-pub const MAX_WORKERS: usize = 256;
 
 /// A model drawn from the zoo by family and dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,54 +263,6 @@ impl FromJson for ModelRequest {
     }
 }
 
-/// Requested simulation fidelity, as a wire-friendly tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FidelitySpec {
-    /// Tile-Level Simulation (fast; the paper's default).
-    #[default]
-    Tls,
-    /// Instruction-Level Simulation. Parsing also accepts one retired
-    /// legacy tag for it (see the `FromJson` impl); it is never emitted.
-    Ils,
-}
-
-impl FidelitySpec {
-    /// The run options this fidelity selects.
-    pub fn run_options(&self) -> RunOptions {
-        match self {
-            FidelitySpec::Tls => RunOptions::tls(),
-            FidelitySpec::Ils => RunOptions::ils(),
-        }
-    }
-
-    /// The wire tag.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FidelitySpec::Tls => "tls",
-            FidelitySpec::Ils => "ils",
-        }
-    }
-}
-
-impl ToJson for FidelitySpec {
-    fn to_json(&self) -> Json {
-        Json::str(self.as_str())
-    }
-}
-
-impl FromJson for FidelitySpec {
-    fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        match v.as_str() {
-            Some("tls") => Ok(FidelitySpec::Tls),
-            // Legacy spelling, accepted for one release: ILS no longer has
-            // a separate timing-only variant.
-            Some("ils" | "ils_timing") => Ok(FidelitySpec::Ils),
-            Some(other) => Err(format!("unknown fidelity {other:?} (expected \"tls\" or \"ils\")")),
-            None => Err("fidelity must be a string".into()),
-        }
-    }
-}
-
 /// One complete, serializable simulation request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
@@ -331,13 +274,10 @@ pub struct RunSpec {
     /// Compiler options (defaults when absent from the wire form).
     pub options: CompilerOptions,
     /// Simulation fidelity (defaults to TLS when absent).
-    pub fidelity: FidelitySpec,
+    pub fidelity: Fidelity,
     /// Optional cycle safety limit.
     pub max_cycles: Option<u64>,
-    /// Execution backend (defaults to serial; on the wire, v2 only).
-    pub backend: ExecutionBackend,
-    /// Request an inline performance-counter summary (on the wire, v3
-    /// only; defaults to off).
+    /// Request an inline performance-counter summary (defaults to off).
     pub profile: bool,
 }
 
@@ -348,9 +288,8 @@ impl RunSpec {
             model,
             config: SimConfig::default(),
             options: CompilerOptions::default(),
-            fidelity: FidelitySpec::Tls,
+            fidelity: Fidelity::Tls,
             max_cycles: None,
-            backend: ExecutionBackend::Serial,
             profile: false,
         }
     }
@@ -371,15 +310,8 @@ impl RunSpec {
 
     /// Replaces the fidelity.
     #[must_use]
-    pub fn with_fidelity(mut self, fidelity: FidelitySpec) -> Self {
+    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
-        self
-    }
-
-    /// Replaces the execution backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -390,30 +322,19 @@ impl RunSpec {
         self
     }
 
-    /// Validates the model dimensions, the configuration, and the backend.
+    /// Validates the model dimensions and the configuration.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] from any part.
+    /// [`Error::InvalidConfig`] from either part.
     pub fn validate(&self) -> Result<()> {
         self.model.validate()?;
-        self.config.validate()?;
-        if let ExecutionBackend::Parallel { workers } = self.backend {
-            if workers == 0 || workers > MAX_WORKERS {
-                return Err(Error::InvalidConfig(format!(
-                    "parallel backend workers must be in 1..={MAX_WORKERS}, got {workers}"
-                )));
-            }
-        }
-        Ok(())
+        self.config.validate()
     }
 
-    /// The run options (fidelity, backend, safety limit) this spec selects.
+    /// The run options (fidelity, safety limit) this spec selects.
     pub fn run_options(&self) -> RunOptions {
-        let mut run = self.fidelity.run_options();
-        run.max_cycles = self.max_cycles;
-        run.backend = self.backend;
-        run
+        RunOptions { fidelity: self.fidelity, max_cycles: self.max_cycles, ..RunOptions::default() }
     }
 
     /// The canonical rendering: field order is fixed by construction, so
@@ -474,22 +395,21 @@ impl RunSpec {
         sim.run(&spec, run)
     }
 
-    /// Parses the wire form with *typed* errors: a schema version outside
-    /// `1..=`[`WIRE_VERSION`] comes back as [`Error::UnsupportedSchema`]
-    /// (the client must speak a different protocol revision), every other
-    /// malformation as [`Error::Serde`] (the request is just broken).
+    /// Parses the wire form with *typed* errors: a `"v"` other than absent,
+    /// 1, 2 or 3 comes back as [`Error::UnsupportedSchema`] (the client
+    /// speaks a different protocol), every other malformation as
+    /// [`Error::Serde`] (the request is just broken).
     ///
     /// # Errors
     ///
     /// [`Error::UnsupportedSchema`] or [`Error::Serde`] as above.
     pub fn parse_wire(v: &Json) -> Result<RunSpec> {
-        let version = wire_version(v).map_err(Error::Serde)?;
-        if version == 0 || version > WIRE_VERSION {
-            return Err(Error::UnsupportedSchema(format!(
-                "RunSpec schema v{version} (this build speaks v1..=v{WIRE_VERSION})"
-            )));
+        match v.field::<Option<u64>>("v").map_err(Error::Serde)? {
+            None | Some(1..=3) => read_fields(v).map_err(Error::Serde),
+            Some(n) => Err(Error::UnsupportedSchema(format!(
+                "RunSpec schema v{n} (this build reads v1..=v3, all as one schema)"
+            ))),
         }
-        Self::from_json(v).map_err(Error::Serde)
     }
 
     /// The equivalent sweep point, for batch execution of many specs.
@@ -508,17 +428,11 @@ impl RunSpec {
 
 impl ToJson for RunSpec {
     fn to_json(&self) -> Json {
-        // Emit the lowest version that can express the spec: a profile-less
-        // spec renders exactly as it did under v2, keeping its fingerprint
-        // (and thus every result-cache key derived from it) stable.
-        let version = if self.profile { 3 } else { 2 };
         let mut j = Json::obj()
-            .set("v", Json::u64(version))
             .set("model", self.model.to_json())
             .set("config", self.config.to_json())
             .set("options", self.options.to_json())
-            .set("fidelity", self.fidelity.to_json())
-            .set("backend", Json::str(self.backend.as_wire()));
+            .set("fidelity", self.fidelity.to_json());
         if self.profile {
             j = j.set("profile", Json::Bool(true));
         }
@@ -529,52 +443,22 @@ impl ToJson for RunSpec {
     }
 }
 
-/// The declared wire version of a request object: the `"v"` key, or 1 when
-/// absent (the original, pre-versioning schema).
-fn wire_version(v: &Json) -> std::result::Result<u64, String> {
-    Ok(v.field::<Option<u64>>("v")?.unwrap_or(1))
+/// The fields of a request whose version [`RunSpec::parse_wire`] accepted;
+/// an absent or `null` optional field takes its default.
+fn read_fields(v: &Json) -> std::result::Result<RunSpec, String> {
+    Ok(RunSpec {
+        model: v.field("model")?,
+        config: v.field::<Option<_>>("config")?.unwrap_or_default(),
+        options: v.field::<Option<_>>("options")?.unwrap_or_default(),
+        fidelity: v.field::<Option<_>>("fidelity")?.unwrap_or_default(),
+        max_cycles: v.field("max_cycles")?,
+        profile: v.field::<Option<_>>("profile")?.unwrap_or_default(),
+    })
 }
 
 impl FromJson for RunSpec {
     fn from_json(v: &Json) -> std::result::Result<Self, String> {
-        let version = wire_version(v)?;
-        if version == 0 || version > WIRE_VERSION {
-            return Err(format!(
-                "unsupported RunSpec schema v{version} (this build speaks v1..=v{WIRE_VERSION})"
-            ));
-        }
-        let backend = match (version, v.get("backend")) {
-            (1, Some(_)) => {
-                return Err("\"backend\" requires schema v2; add \"v\":2 to the request".to_string())
-            }
-            (_, None) => ExecutionBackend::Serial,
-            (_, Some(b)) => b
-                .as_str()
-                .ok_or_else(|| "backend must be a string".to_string())?
-                .parse::<ExecutionBackend>()?,
-        };
-        let profile = match (version, v.get("profile")) {
-            (1 | 2, Some(_)) => {
-                return Err("\"profile\" requires schema v3; add \"v\":3 to the request".to_string())
-            }
-            (_, None) => false,
-            (_, Some(p)) => p.as_bool().ok_or_else(|| "profile must be a boolean".to_string())?,
-        };
-        let model = ModelRequest::from_json(v.req("model")?)?;
-        let config = match v.get("config") {
-            Some(c) => SimConfig::from_json(c)?,
-            None => SimConfig::default(),
-        };
-        let options = match v.get("options") {
-            Some(o) => CompilerOptions::from_json(o)?,
-            None => CompilerOptions::default(),
-        };
-        let fidelity = match v.get("fidelity") {
-            Some(f) => FidelitySpec::from_json(f)?,
-            None => FidelitySpec::Tls,
-        };
-        let max_cycles = v.field("max_cycles")?;
-        Ok(RunSpec { model, config, options, fidelity, max_cycles, backend, profile })
+        RunSpec::parse_wire(v).map_err(|e| e.to_string())
     }
 }
 
@@ -588,7 +472,7 @@ mod tests {
             RunSpec::new(ModelRequest::Gemm { n: 32 }),
             RunSpec::new(ModelRequest::GemmRect { m: 16, k: 32, n: 48 })
                 .with_config(SimConfig::tiny())
-                .with_fidelity(FidelitySpec::Ils),
+                .with_fidelity(Fidelity::Ils),
             RunSpec::new(ModelRequest::Bert {
                 seq: 16,
                 batch: 1,
@@ -610,31 +494,9 @@ mod tests {
     fn wire_defaults_fill_missing_fields() {
         let spec = RunSpec::from_json_str(r#"{"model":{"kind":"gemm","n":16}}"#).unwrap();
         assert_eq!(spec, RunSpec::new(ModelRequest::Gemm { n: 16 }));
-        assert_eq!(spec.fidelity, FidelitySpec::Tls);
+        assert_eq!(spec.fidelity, Fidelity::Tls);
         assert!(spec.max_cycles.is_none());
-        assert_eq!(spec.backend, ExecutionBackend::Serial);
-    }
-
-    #[test]
-    fn v2_round_trips_the_backend() {
-        let spec = RunSpec::new(ModelRequest::Gemm { n: 16 })
-            .with_backend(ExecutionBackend::Parallel { workers: 3 });
-        let json = spec.canonical_json();
-        assert!(json.contains("\"v\":2"), "{json}");
-        assert!(json.contains("\"backend\":\"parallel:3\""), "{json}");
-        let back = RunSpec::from_json_str(&json).unwrap();
-        assert_eq!(back, spec);
-        // An explicit v2 request without a backend key defaults to serial.
-        let spec = RunSpec::from_json_str(r#"{"v":2,"model":{"kind":"gemm","n":16}}"#).unwrap();
-        assert_eq!(spec.backend, ExecutionBackend::Serial);
-    }
-
-    #[test]
-    fn v1_requests_with_a_backend_key_are_rejected() {
-        let err =
-            RunSpec::from_json_str(r#"{"model":{"kind":"gemm","n":16},"backend":"parallel:4"}"#)
-                .unwrap_err();
-        assert!(err.contains("requires schema v2"), "{err}");
+        assert!(!spec.profile);
     }
 
     #[test]
@@ -648,6 +510,9 @@ mod tests {
         let v0 =
             ptsim_common::json::parse_json(r#"{"v":0,"model":{"kind":"gemm","n":16}}"#).unwrap();
         assert!(matches!(RunSpec::parse_wire(&v0), Err(Error::UnsupportedSchema(_))));
+        // `FromJson` reads through the same version check.
+        let err = RunSpec::from_json_str(r#"{"v":9,"model":{"kind":"gemm","n":16}}"#).unwrap_err();
+        assert!(err.contains("unsupported schema"), "{err}");
         // Garbage is Serde, not UnsupportedSchema.
         let junk = ptsim_common::json::parse_json(r#"{"v":2}"#).unwrap();
         assert!(matches!(RunSpec::parse_wire(&junk), Err(Error::Serde(_))));
@@ -657,35 +522,11 @@ mod tests {
     fn v3_round_trips_the_profile_flag() {
         let spec = RunSpec::new(ModelRequest::Gemm { n: 16 }).with_profile(true);
         let json = spec.canonical_json();
-        assert!(json.contains("\"v\":3"), "{json}");
         assert!(json.contains("\"profile\":true"), "{json}");
-        let back = RunSpec::from_json_str(&json).unwrap();
-        assert_eq!(back, spec);
-        assert!(back.profile);
-        // An explicit v3 request without a profile key defaults to off.
-        let spec = RunSpec::from_json_str(r#"{"v":3,"model":{"kind":"gemm","n":16}}"#).unwrap();
-        assert!(!spec.profile);
-    }
-
-    #[test]
-    fn profile_free_specs_still_serialize_as_v2() {
-        // Fingerprint stability: adding the v3 schema must not re-render
-        // (and thus re-key) requests that do not use it.
-        let spec = RunSpec::new(ModelRequest::Gemm { n: 16 });
-        let json = spec.canonical_json();
-        assert!(json.contains("\"v\":2"), "{json}");
-        assert!(!json.contains("profile"), "{json}");
-    }
-
-    #[test]
-    fn sub_v3_requests_with_a_profile_key_are_rejected() {
-        for wire in [
-            r#"{"model":{"kind":"gemm","n":16},"profile":true}"#,
-            r#"{"v":2,"model":{"kind":"gemm","n":16},"profile":true}"#,
-        ] {
-            let err = RunSpec::from_json_str(wire).unwrap_err();
-            assert!(err.contains("requires schema v3"), "{err}");
-        }
+        assert_eq!(RunSpec::from_json_str(&json).unwrap(), spec);
+        // The v3 spelling earlier builds emitted is the same spec.
+        let v3 = json.replacen('{', r#"{"v":3,"#, 1);
+        assert_eq!(RunSpec::from_json_str(&v3).unwrap(), spec);
     }
 
     #[test]
@@ -707,59 +548,30 @@ mod tests {
     }
 
     #[test]
-    fn validate_bounds_the_parallel_worker_count() {
-        let base = RunSpec::new(ModelRequest::Gemm { n: 16 });
-        assert!(base
-            .clone()
-            .with_backend(ExecutionBackend::Parallel { workers: 0 })
-            .validate()
-            .is_err());
-        assert!(base
-            .clone()
-            .with_backend(ExecutionBackend::Parallel { workers: MAX_WORKERS + 1 })
-            .validate()
-            .is_err());
-        assert!(base
-            .with_backend(ExecutionBackend::Parallel { workers: MAX_WORKERS })
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn backend_threads_through_to_run_options() {
-        let spec = RunSpec::new(ModelRequest::Gemm { n: 16 })
-            .with_backend(ExecutionBackend::Parallel { workers: 2 });
-        assert_eq!(spec.run_options().backend, ExecutionBackend::Parallel { workers: 2 });
-    }
-
-    #[test]
     fn fingerprint_separates_distinct_specs() {
         let a = RunSpec::new(ModelRequest::Gemm { n: 32 });
         let b = RunSpec::new(ModelRequest::Gemm { n: 33 });
-        let c = a.clone().with_fidelity(FidelitySpec::Ils);
+        let c = a.clone().with_fidelity(Fidelity::Ils);
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.fingerprint(), a.clone().fingerprint());
     }
 
     #[test]
-    fn legacy_ils_timing_spelling_is_the_same_spec_as_ils() {
+    fn unknown_fidelity_tags_are_rejected() {
         let model = r#""model":{"kind":"gemm","n":16}"#;
-        let legacy = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"ils_timing"}}"#));
-        let current = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"ils"}}"#));
-        let (legacy, current) = (legacy.unwrap(), current.unwrap());
-        assert_eq!(legacy.fidelity, FidelitySpec::Ils);
-        assert_eq!(legacy.canonical_json(), current.canonical_json());
-        assert_eq!(legacy.fingerprint(), current.fingerprint());
-        assert!(!legacy.canonical_json().contains("ils_timing"));
-        let err = RunSpec::from_json_str(&format!(r#"{{{model},"fidelity":"slow"}}"#)).unwrap_err();
-        assert!(err.contains(r#"expected "tls" or "ils""#), "{err}");
+        for tag in ["ils_timing", "slow", "TLS"] {
+            let wire = format!(r#"{{{model},"fidelity":"{tag}"}}"#);
+            let err = RunSpec::from_json_str(&wire).unwrap_err();
+            assert!(err.contains(r#"expected "tls" or "ils""#), "{tag}: {err}");
+        }
     }
 
     /// `ptsim-serve` answers a request from its bytes alone when they equal
     /// a cached canonical rendering. That is sound because the canonical
     /// form is a fixpoint of parse → render, its FNV-1a is the fingerprint,
-    /// and every legacy spelling of a spec renders to the same canon.
+    /// and every legacy spelling of a spec renders to the same canon: a
+    /// `"v"` of 1, 2 or 3, and any `"backend"` earlier builds sent.
     #[test]
     fn canonical_json_is_a_parse_fixpoint_keyed_by_its_own_fnv() {
         use ptsim_common::fingerprint::fnv1a;
@@ -784,10 +596,18 @@ mod tests {
             let v = parse_json(wire).unwrap_or_else(|e| panic!("{e}: {wire}"));
             RunSpec::parse_wire(&v).unwrap_or_else(|e| panic!("{e}: {wire}")).canonical_json()
         };
+        const LEGACY: [&str; 6] = [
+            r#"{"v":1,"#,
+            r#"{"v":2,"#,
+            r#"{"v":3,"#,
+            r#"{"backend":"serial","#,
+            r#"{"v":2,"backend":"reference","#,
+            r#"{"v":3,"backend":"parallel:4","#,
+        ];
         let mut cases = 0;
         for model in models {
             for config in [SimConfig::tiny(), SimConfig::default(), SimConfig::tpu_v3()] {
-                for fidelity in [FidelitySpec::Tls, FidelitySpec::Ils] {
+                for fidelity in [Fidelity::Tls, Fidelity::Ils] {
                     for profile in [false, true] {
                         for max_cycles in [None, Some(1_000_000)] {
                             let spec = RunSpec {
@@ -804,17 +624,12 @@ mod tests {
                             // `":` only occur between tokens.
                             let spaced = canon.replace(",\"", ",\n\t\"").replace("\":", "\" : ");
                             assert_eq!(reparse(&format!(" {spaced}\n")), canon);
-                            if fidelity == FidelitySpec::Ils {
-                                let legacy = canon.replace(r#""ils""#, r#""ils_timing""#);
-                                assert_ne!(legacy, canon);
-                                assert_eq!(reparse(&legacy), canon);
-                            }
-                            if !profile {
-                                let v1 = canon
-                                    .replace(r#""v":2,"#, "")
-                                    .replace(r#","backend":"serial""#, "");
-                                assert!(!v1.contains(r#""v":"#) && !v1.contains("backend"), "{v1}");
-                                assert_eq!(reparse(&v1), canon);
+                            assert!(!canon.contains(r#""v":"#), "{canon}");
+                            assert!(!canon.contains("backend"), "{canon}");
+                            assert_eq!(canon.contains("profile"), profile, "{canon}");
+                            for legacy in LEGACY {
+                                let wire = canon.replacen('{', legacy, 1);
+                                assert_eq!(reparse(&wire), canon, "{wire}");
                             }
                             cases += 1;
                         }
@@ -840,10 +655,10 @@ mod tests {
         full.noc.kind = NocKind::Simple;
         let autotuned = CompilerOptions { autotune: true, ..CompilerOptions::unoptimized() };
         let pinned = [
-            (gemm().with_config(SimConfig::tiny()), 0xa303_dcec_5fd0_ea9d),
-            (gemm().with_config(SimConfig::tpu_v3()), 0x380c_8edb_5d4f_4200),
-            (gemm().with_config(full), 0x7f8b_5632_c13f_114d),
-            (gemm().with_options(autotuned), 0xb30a_0fa0_2293_13d0),
+            (gemm().with_config(SimConfig::tiny()), 0x99d8_e05c_aba9_43a5),
+            (gemm().with_config(SimConfig::tpu_v3()), 0x377b_778d_d371_fe7e),
+            (gemm().with_config(full), 0x50f6_be0c_c17a_6241),
+            (gemm().with_options(autotuned), 0x1dc3_a2cd_b3cc_082e),
         ];
         for (spec, fp) in pinned {
             assert_eq!(spec.fingerprint(), fp, "{}", spec.canonical_json());

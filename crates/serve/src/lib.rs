@@ -25,7 +25,7 @@
 //!
 //! Every response carries an `x-ptsim-request-id` header (monotonic per
 //! server process) so client logs can be correlated with server-side
-//! metrics; a `RunSpec` with `"v":3,"profile":true` additionally returns a
+//! metrics; a `RunSpec` with `"profile":true` additionally returns a
 //! bottleneck-attribution summary under `"profile"` in the simulate body.
 //!
 //! Error codes: `400` unparseable request, `404`/`405` routing, `422`

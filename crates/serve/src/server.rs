@@ -559,6 +559,18 @@ fn cache_hit(state: &Arc<State>, cached: String) -> Response {
     Response::json(200, cached).with_header("x-ptsim-cache", "hit")
 }
 
+/// Reads one wire `RunSpec` (`at` names it in the error). Every rejection is
+/// a 400; one that names a schema version this build does not read is also
+/// counted in `serve.rejected.schema`.
+fn parse_spec(v: &Json, at: &str, state: &State) -> Result<RunSpec, Response> {
+    RunSpec::parse_wire(v).map_err(|e| {
+        if matches!(e, Error::UnsupportedSchema(_)) {
+            state.metrics.counter("serve.rejected.schema").inc();
+        }
+        Response::error(400, &format!("bad RunSpec{at}: {e}"))
+    })
+}
+
 fn simulate(req: &Request, state: &Arc<State>) -> Response {
     let body = match req.body_str() {
         Ok(b) => b,
@@ -576,13 +588,9 @@ fn simulate(req: &Request, state: &Arc<State>) -> Response {
         Ok(v) => v,
         Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
-    let spec = match RunSpec::parse_wire(&parsed) {
+    let spec = match parse_spec(&parsed, "", state) {
         Ok(s) => s,
-        Err(e @ ptsim_common::Error::UnsupportedSchema(_)) => {
-            state.metrics.counter("serve.rejected.schema").inc();
-            return Response::error(400, &e.to_string());
-        }
-        Err(e) => return Response::error(400, &format!("bad RunSpec: {e}")),
+        Err(resp) => return resp,
     };
     let canon = spec.canonical_json();
     let fingerprint = fnv1a(canon.as_bytes());
@@ -634,13 +642,9 @@ fn sweep(req: &Request, state: &Arc<State>) -> Response {
     }
     let mut points = Vec::with_capacity(raw_points.len());
     for (i, rp) in raw_points.iter().enumerate() {
-        match RunSpec::parse_wire(rp) {
+        match parse_spec(rp, &format!(" at points[{i}]"), state) {
             Ok(p) => points.push(p),
-            Err(e @ ptsim_common::Error::UnsupportedSchema(_)) => {
-                state.metrics.counter("serve.rejected.schema").inc();
-                return Response::error(400, &format!("points[{i}]: {e}"));
-            }
-            Err(e) => return Response::error(400, &format!("bad RunSpec at points[{i}]: {e}")),
+            Err(resp) => return resp,
         }
     }
     let jobs = parsed

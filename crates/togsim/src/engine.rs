@@ -12,6 +12,7 @@ use crate::cache::L1Cache;
 use crate::report::{JobReport, SimReport};
 use ptsim_common::config::SimConfig;
 use ptsim_common::id::RequestIdGen;
+use ptsim_common::json::{FromJson, Json, ToJson};
 use ptsim_common::{CancelToken, Cycle, Error, RequestId, Result};
 use ptsim_dram::{DramSim, MemRequest};
 use ptsim_event::{CompletionSource, EventQueue, Scheduler, Step, WakeSet};
@@ -47,12 +48,31 @@ pub enum Fidelity {
     Ils,
 }
 
+impl ToJson for Fidelity {
+    fn to_json(&self) -> Json {
+        Json::str(match self {
+            Fidelity::Tls => "tls",
+            Fidelity::Ils => "ils",
+        })
+    }
+}
+
+impl FromJson for Fidelity {
+    fn from_json(v: &Json) -> std::result::Result<Self, String> {
+        match v.as_str() {
+            Some("tls") => Ok(Fidelity::Tls),
+            Some("ils") => Ok(Fidelity::Ils),
+            Some(other) => Err(format!("unknown fidelity {other:?} (expected \"tls\" or \"ils\")")),
+            None => Err("fidelity must be a string".into()),
+        }
+    }
+}
+
 /// How a simulation run executes on the host.
 ///
-/// This is the single switch that replaced the old scattered
-/// `run`/`run_reference` entry points: one enum, threaded through
-/// `RunOptions`, the sweep grid, the `RunSpec` wire schema, and the
-/// simulation server.
+/// One enum, threaded through `RunOptions` into [`TogSim::run_with`]. Every
+/// backend yields bit-identical reports, so the choice is not part of a
+/// run's identity and is not on any wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionBackend {
     /// Single-threaded event kernel (the default). Deterministic and the
@@ -63,68 +83,17 @@ pub enum ExecutionBackend {
     /// loop, and `workers` is ignored. The lookahead-parallel engine it used
     /// to select was retired (its reports were always bit-identical to
     /// `Serial`, so only wall time changes — it gets faster). The variant
-    /// stays only because existing v2 wire requests and the benchmark's
-    /// `togsim.parallel2_ratio` probe name it; it goes away together with
-    /// that probe in a benchmark-only PR (ROADMAP item 10).
+    /// stays only because the benchmark's `togsim.parallel2_ratio` probe
+    /// names it; it goes away together with that probe in a benchmark-only
+    /// PR (ROADMAP item 10).
     Parallel {
-        /// Ignored; kept so `"parallel:N"` wire strings still round-trip
-        /// (must be ≥ 1).
+        /// Ignored.
         workers: usize,
     },
     /// Legacy full-rescan loop: every core re-examined every iteration,
     /// clock always advancing by at least one cycle. The oracle of the
     /// kernel-equivalence suite.
     Reference,
-}
-
-impl ExecutionBackend {
-    /// Worker count used when a wire string says `"parallel"` with no `:N`.
-    pub const DEFAULT_PARALLEL_WORKERS: usize = 4;
-
-    /// Canonical wire encoding: `"serial"`, `"parallel:N"`, `"reference"`.
-    pub fn as_wire(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl std::fmt::Display for ExecutionBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutionBackend::Serial => f.write_str("serial"),
-            ExecutionBackend::Parallel { workers } => write!(f, "parallel:{workers}"),
-            ExecutionBackend::Reference => f.write_str("reference"),
-        }
-    }
-}
-
-impl std::str::FromStr for ExecutionBackend {
-    type Err = String;
-
-    /// Parses the wire encoding. `"parallel"` without a worker count means
-    /// [`ExecutionBackend::DEFAULT_PARALLEL_WORKERS`]; a count of zero is
-    /// rejected.
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "serial" => Ok(ExecutionBackend::Serial),
-            "reference" => Ok(ExecutionBackend::Reference),
-            "parallel" => {
-                Ok(ExecutionBackend::Parallel { workers: Self::DEFAULT_PARALLEL_WORKERS })
-            }
-            _ => {
-                let workers = s
-                    .strip_prefix("parallel:")
-                    .and_then(|n| n.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| {
-                        format!(
-                            "unknown execution backend '{s}' \
-                             (expected serial, parallel[:N] with N >= 1, or reference)"
-                        )
-                    })?;
-                Ok(ExecutionBackend::Parallel { workers })
-            }
-        }
-    }
 }
 
 /// Job submission parameters.
@@ -1502,25 +1471,6 @@ mod backend_tests {
         for workers in [1, 4, 16] {
             let got = run(Some(ExecutionBackend::Parallel { workers }));
             assert_eq!(serial, got, "parallel:{workers} diverged from run()");
-        }
-    }
-
-    #[test]
-    fn backend_wire_round_trips() {
-        for b in [
-            ExecutionBackend::Serial,
-            ExecutionBackend::Reference,
-            ExecutionBackend::Parallel { workers: 1 },
-            ExecutionBackend::Parallel { workers: 7 },
-        ] {
-            assert_eq!(b.as_wire().parse::<ExecutionBackend>().unwrap(), b);
-        }
-        assert_eq!(
-            "parallel".parse::<ExecutionBackend>().unwrap(),
-            ExecutionBackend::Parallel { workers: ExecutionBackend::DEFAULT_PARALLEL_WORKERS }
-        );
-        for bad in ["", "threads", "parallel:0", "parallel:-1", "parallel:x", "Serial"] {
-            assert!(bad.parse::<ExecutionBackend>().is_err(), "{bad:?} must not parse");
         }
     }
 }

@@ -1,20 +1,14 @@
 //! Structural validation of exported Chrome traces.
 //!
-//! Builds on the workspace's shared JSON parser ([`ptsim_common::json`],
-//! re-exported here) with a checker
-//! asserting the properties tools rely on: every record is an object with
-//! the mandatory keys, timestamps are non-decreasing per `(pid, tid)` row,
-//! complete (`X`) spans nest properly within their row, and async `b`/`e`
-//! pairs are balanced. Tests use it to prove exported traces load cleanly
-//! in Perfetto-compatible viewers.
+//! Builds on the workspace's shared JSON parser ([`ptsim_common::json`])
+//! with a checker asserting the properties tools rely on: every record is
+//! an object with the mandatory keys, timestamps are non-decreasing per
+//! `(pid, tid)` row, complete (`X`) spans nest properly within their row,
+//! and async `b`/`e` pairs are balanced. Tests use it to prove exported
+//! traces load cleanly in Perfetto-compatible viewers.
 
+use ptsim_common::json::{parse_json, Json};
 use std::collections::HashMap;
-
-// The JSON document model and parser moved to `ptsim_common::json` (PR 6)
-// so every wire format in the workspace — trace export, report `--json`
-// output, and the `ptsim-serve` HTTP API — shares one implementation.
-// Re-exported here for backward compatibility.
-pub use ptsim_common::json::{parse_json, Json};
 
 /// What a validated trace contained.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -10,11 +10,9 @@ use ptsim_common::config::SimConfig;
 use ptsim_common::json::{parse_json, FromJson, Json};
 use ptsim_serve::client::HttpClient;
 use ptsim_serve::server::{start, ServeConfig, ServerHandle};
-use ptsim_togsim::SimReport;
+use ptsim_togsim::{Fidelity, SimReport};
 use ptsim_trace::MetricValue;
-use pytorchsim::{
-    CompileCache, ExecutionBackend, FidelitySpec, ModelRequest, RunOptions, RunSpec, Simulator,
-};
+use pytorchsim::{CompileCache, ModelRequest, RunOptions, RunSpec, Simulator};
 use std::time::{Duration, Instant};
 
 fn tiny_spec(n: usize) -> RunSpec {
@@ -127,7 +125,7 @@ fn graceful_shutdown_completes_every_admitted_request() {
     // run is still executing when the drain starts. The waits below are on
     // monotonic counters, never on a gauge a short run can flip and unflip
     // between two polls.
-    let long = tiny_spec(384).with_fidelity(FidelitySpec::Ils).canonical_json();
+    let long = tiny_spec(384).with_fidelity(Fidelity::Ils).canonical_json();
     let quick: Vec<String> = (0..5).map(|i| tiny_spec(16 + 8 * i).canonical_json()).collect();
 
     let mut responses = Vec::new();
@@ -192,7 +190,7 @@ fn admission_queue_overflow_yields_429() {
     // Blocker: a sweep of many points occupies the single worker for a
     // while (~0.15 s in release, ~1.4 s in debug; one job).
     let blocker_points: Vec<String> = (0..48)
-        .map(|i| tiny_spec(96 + 8 * (i % 12)).with_fidelity(FidelitySpec::Ils).canonical_json())
+        .map(|i| tiny_spec(96 + 8 * (i % 12)).with_fidelity(Fidelity::Ils).canonical_json())
         .collect();
     let blocker = format!("{{\"points\":[{}]}}", blocker_points.join(","));
 
@@ -298,47 +296,43 @@ fn error_codes_are_typed() {
         assert_eq!(report_from_body(&resp.body), direct_gemm(fresh));
     }
 
+    // A deeply nested body is a malformed request, not a stack overflow
+    // that takes the whole process down.
+    let nested = "[".repeat(64 * 1024);
+    for route in ["/v1/simulate", "/v1/sweep"] {
+        let resp = client.post(route, &nested).unwrap();
+        assert_eq!(resp.status, 400, "{route}: {}", resp.body);
+        assert!(resp.body.contains("nesting deeper than"), "{route}: {}", resp.body);
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+    }
+
     handle.shutdown();
     handle.join();
 }
 
 #[test]
-fn wire_versioning_gates_the_backend_and_rejects_unknown_versions() {
+fn wire_versioning_rejects_unknown_versions_and_fidelities() {
     let handle = start(ServeConfig::default()).unwrap();
     let mut client = HttpClient::new(handle.addr());
+    let canon = tiny_spec(16).canonical_json();
 
-    // A version-less request is v1 and still served (the canonical form is
-    // v2, so strip the markers to reconstruct the legacy wire shape).
-    let v2 = tiny_spec(16).canonical_json();
-    let v1 = v2.replace("\"v\":2,", "").replace(",\"backend\":\"serial\"", "");
-    assert_ne!(v1, v2, "the canonical form must carry the v2 markers");
-    let resp = client.post("/v1/simulate", &v1).unwrap();
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
-    assert_eq!(report_from_body(&resp.body), direct_gemm(16));
+    // A version this build does not read is a typed, counted rejection.
+    for (n, v) in [(1, 0), (2, 4)] {
+        let body = canon.replacen('{', &format!("{{\"v\":{v},"), 1);
+        let resp = client.post("/v1/simulate", &body).unwrap();
+        assert_eq!(resp.status, 400, "v{v}: {}", resp.body);
+        assert!(resp.body.contains("unsupported schema"), "v{v}: {}", resp.body);
+        assert_eq!(metric(&handle, "serve.rejected.schema"), n, "v{v}");
+    }
 
-    // A v1 request smuggling the v2-only backend key is rejected, not
-    // silently reinterpreted.
-    let model = "\"model\":{\"kind\":\"gemm\",\"n\":16}";
-    assert!(v1.contains(model), "body: {v1}");
-    let smuggled = v1.replace(model, &format!("{model},\"backend\":\"parallel:4\""));
-    let resp = client.post("/v1/simulate", &smuggled).unwrap();
+    // The retired "ils_timing" alias is an unknown fidelity, not ILS.
+    let ils = tiny_spec(16).with_fidelity(Fidelity::Ils).canonical_json();
+    let retired = ils.replace("\"ils\"", "\"ils_timing\"");
+    assert_ne!(retired, ils);
+    let resp = client.post("/v1/simulate", &retired).unwrap();
     assert_eq!(resp.status, 400, "body: {}", resp.body);
-    assert!(resp.body.contains("requires schema v2"), "body: {}", resp.body);
-
-    // An unknown version is a typed, counted rejection.
-    let v4 = v2.replace("\"v\":2", "\"v\":4");
-    let resp = client.post("/v1/simulate", &v4).unwrap();
-    assert_eq!(resp.status, 400, "body: {}", resp.body);
-    assert!(resp.body.contains("unsupported schema"), "body: {}", resp.body);
-    assert!(metric(&handle, "serve.rejected.schema") >= 1);
-
-    // A v2 request selecting the parallel backend is served bit-identical
-    // to the serial direct run.
-    let parallel =
-        tiny_spec(16).with_backend(ExecutionBackend::Parallel { workers: 4 }).canonical_json();
-    let resp = client.post("/v1/simulate", &parallel).unwrap();
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
-    assert_eq!(report_from_body(&resp.body), direct_gemm(16));
+    assert!(resp.body.contains("unknown fidelity"), "body: {}", resp.body);
+    assert_eq!(metric(&handle, "serve.rejected.schema"), 2);
 
     handle.shutdown();
     handle.join();
@@ -379,7 +373,7 @@ fn mid_run_deadline_expiry_returns_503_promptly() {
     // Fast compile (milliseconds), long simulation (~0.7 s even in
     // release): the deadline expires deep inside the engine, where only the
     // scheduler's bounded-interval poll sites can observe it.
-    let body = tiny_spec(512).with_fidelity(FidelitySpec::Ils).canonical_json();
+    let body = tiny_spec(512).with_fidelity(Fidelity::Ils).canonical_json();
     let t0 = Instant::now();
     let resp = client.post("/v1/simulate", &body).unwrap();
     let elapsed = t0.elapsed();
@@ -417,7 +411,7 @@ fn shutdown_grace_cancels_stuck_runs_and_strands_no_followers() {
     // A sweep long enough (~2 s even in release) that it is always still
     // mid-run when the grace period expires.
     let points: Vec<String> = (0..16)
-        .map(|i| tiny_spec(384 + 8 * (i % 8)).with_fidelity(FidelitySpec::Ils).canonical_json())
+        .map(|i| tiny_spec(384 + 8 * (i % 8)).with_fidelity(Fidelity::Ils).canonical_json())
         .collect();
     let body = format!("{{\"points\":[{}]}}", points.join(","));
 
@@ -528,7 +522,7 @@ fn every_response_carries_a_unique_request_id() {
     handle.join();
 }
 
-/// Acceptance: `"profile":true` (wire v3) returns a bottleneck-attribution
+/// Acceptance: `"profile":true` returns a bottleneck-attribution
 /// summary inline, the report itself stays bit-identical to an unprofiled
 /// run, and the attribution closes exactly over the total cycles.
 #[test]
@@ -541,7 +535,7 @@ fn profile_flag_returns_inline_counter_summary() {
     assert!(!plain.body.contains("\"profile\""), "unprofiled body: {}", plain.body);
 
     let body = tiny_spec(24).with_profile(true).canonical_json();
-    assert!(body.contains("\"v\":3"), "{body}");
+    assert!(body.contains("\"profile\":true"), "{body}");
     let resp = client.post("/v1/simulate", &body).unwrap();
     assert_eq!(resp.status, 200, "body: {}", resp.body);
     assert_eq!(report_from_body(&resp.body), report_from_body(&plain.body), "counters perturb");
@@ -605,28 +599,37 @@ fn cached_specs_hit_in_every_spelling_and_count_once() {
     let Json::Obj(mut fields) = parse_json(&canon).unwrap() else { panic!("not an object") };
     fields.reverse();
     let reordered = Json::Obj(fields).render();
-    let v1 = canon.replace("\"v\":2,", "").replace(",\"backend\":\"serial\"", "");
-    for (spelling, body) in
-        [("canonical", &canon), ("whitespace", &spaced), ("reordered", &reordered), ("v1", &v1)]
-    {
-        assert!(spelling == "canonical" || *body != canon, "{spelling} is the canonical text");
+    // Keys earlier builds sent: a schema version, and a backend.
+    let legacy = |keys: &str| canon.replacen('{', &format!("{{{keys},"), 1);
+    let spellings = [
+        ("canonical", canon.clone()),
+        ("whitespace", spaced),
+        ("reordered", reordered),
+        ("v1", legacy("\"v\":1")),
+        ("v2 serial", legacy("\"v\":2,\"backend\":\"serial\"")),
+        ("v3 reference", legacy("\"v\":3,\"backend\":\"reference\"")),
+        ("parallel", legacy("\"backend\":\"parallel:4\"")),
+    ];
+    for (spelling, body) in &spellings {
+        assert!(*spelling == "canonical" || *body != canon, "{spelling} is the canonical text");
         let resp = client.post("/v1/simulate", body).unwrap();
         assert_eq!(resp.status, 200, "{spelling}: {}", resp.body);
         assert_eq!(resp.header("x-ptsim-cache"), Some("hit"), "{spelling}");
         assert_eq!(resp.body, first.body, "{spelling}: body differs from the fresh run");
     }
-    assert_eq!(metric(&handle, "serve.result_cache.hits"), 4);
-    assert_eq!(counted(), 5, "one hit or one miss per request");
+    let sent = 1 + spellings.len() as u64;
+    assert_eq!(metric(&handle, "serve.result_cache.hits"), sent - 1);
+    assert_eq!(counted(), sent, "one hit or one miss per request");
 
     // Rejections still happen, and are neither hits nor misses.
     let schema_before = metric(&handle, "serve.rejected.schema");
-    let v9 = canon.replace("\"v\":2", "\"v\":9");
+    let v9 = legacy("\"v\":9");
     let resp = client.post("/v1/simulate", &v9).unwrap();
     assert_eq!(resp.status, 400, "body: {}", resp.body);
     assert!(resp.body.contains("unsupported schema"), "body: {}", resp.body);
     assert_eq!(metric(&handle, "serve.rejected.schema"), schema_before + 1);
     assert_eq!(client.post("/v1/simulate", &canon[1..]).unwrap().status, 400);
-    assert_eq!(counted(), 5);
+    assert_eq!(counted(), sent);
 
     // A cached profiled spec keeps its profile block on the fast path.
     let profiled = tiny_spec(28).with_profile(true).canonical_json();
@@ -636,7 +639,7 @@ fn cached_specs_hit_in_every_spelling_and_count_once() {
     assert_eq!(cached.header("x-ptsim-cache"), Some("hit"));
     assert_eq!(cached.body, fresh.body);
     assert!(parse_json(&cached.body).unwrap().get("profile").is_some(), "{}", cached.body);
-    assert_eq!(counted(), 7);
+    assert_eq!(counted(), sent + 2);
 
     handle.shutdown();
     handle.join();
