@@ -529,6 +529,69 @@ mod tests {
         assert_eq!(RunSpec::from_json_str(&v3).unwrap(), spec);
     }
 
+    /// A v2 request naming a backend is the backend-free spec: the key is
+    /// ignored, and the spec renders to the one canon without it.
+    #[test]
+    fn v2_round_trips_the_backend() {
+        let canon = RunSpec::new(ModelRequest::Gemm { n: 16 });
+        for backend in ["serial", "reference", "parallel:3"] {
+            let wire =
+                format!(r#"{{"v":2,"model":{{"kind":"gemm","n":16}},"backend":"{backend}"}}"#);
+            let spec = RunSpec::from_json_str(&wire).unwrap();
+            assert_eq!(spec, canon, "{wire}");
+            assert_eq!(spec.fingerprint(), canon.fingerprint(), "{wire}");
+            assert!(!spec.canonical_json().contains("backend"), "{wire}");
+        }
+        // An explicit v2 request without a backend key is the same spec.
+        let spec = RunSpec::from_json_str(r#"{"v":2,"model":{"kind":"gemm","n":16}}"#).unwrap();
+        assert_eq!(spec, canon);
+    }
+
+    /// Schema v1 once rejected a `"backend"` key; with one schema it is an
+    /// ignored unknown key, so such a request reads as the plain spec.
+    #[test]
+    fn v1_requests_with_a_backend_key_are_rejected() {
+        for wire in [
+            r#"{"model":{"kind":"gemm","n":16},"backend":"parallel:4"}"#,
+            r#"{"v":1,"model":{"kind":"gemm","n":16},"backend":"parallel:4"}"#,
+        ] {
+            let spec = RunSpec::from_json_str(wire).unwrap();
+            assert_eq!(spec, RunSpec::new(ModelRequest::Gemm { n: 16 }), "{wire}");
+        }
+        // A malformed request is still refused, backend key or not.
+        let err = RunSpec::from_json_str(r#"{"v":1,"backend":"parallel:4"}"#).unwrap_err();
+        assert!(err.contains("model"), "{err}");
+    }
+
+    /// Fingerprint stability: a spec that does not set `profile` renders
+    /// without the key, so it keys the same cache entry as a request that
+    /// never heard of profiling.
+    #[test]
+    fn profile_free_specs_still_serialize_as_v2() {
+        let spec = RunSpec::new(ModelRequest::Gemm { n: 16 });
+        let json = spec.canonical_json();
+        assert!(!json.contains("profile"), "{json}");
+        assert!(!json.contains(r#""v":"#), "{json}");
+        let v2 = json.replacen('{', r#"{"v":2,"#, 1);
+        assert_eq!(RunSpec::from_json_str(&v2).unwrap().canonical_json(), json);
+    }
+
+    /// The profile flag once required schema v3; with one schema a `v1`,
+    /// `v2` or version-less request may set it, and it is the same spec.
+    #[test]
+    fn sub_v3_requests_with_a_profile_key_are_rejected() {
+        let profiled = RunSpec::new(ModelRequest::Gemm { n: 16 }).with_profile(true);
+        for wire in [
+            r#"{"model":{"kind":"gemm","n":16},"profile":true}"#,
+            r#"{"v":1,"model":{"kind":"gemm","n":16},"profile":true}"#,
+            r#"{"v":2,"model":{"kind":"gemm","n":16},"profile":true}"#,
+        ] {
+            let spec = RunSpec::from_json_str(wire).unwrap();
+            assert_eq!(spec, profiled, "{wire}");
+            assert_eq!(spec.fingerprint(), profiled.fingerprint(), "{wire}");
+        }
+    }
+
     #[test]
     fn profile_flag_changes_the_fingerprint() {
         let plain = RunSpec::new(ModelRequest::Gemm { n: 16 });
