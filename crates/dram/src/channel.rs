@@ -61,7 +61,8 @@ struct Bank {
 struct Queued {
     req: MemRequest,
     arrival: u64,
-    /// `bank_and_row(req.addr)`, decoded once at admission.
+    /// `bank_and_row` of the request's in-channel block, decoded once at
+    /// admission.
     bank: usize,
     row: u64,
 }
@@ -88,8 +89,6 @@ pub(crate) struct Channel {
     policy: MemSchedulerPolicy,
     queue_depth: usize,
     blocks_per_row: u64,
-    channels: u64,
-    tx_bytes: u64,
     /// Scheduling frontier: everything before this is decided.
     time: u64,
     /// Data-bus free time.
@@ -127,8 +126,6 @@ impl Channel {
             policy: cfg.scheduler,
             queue_depth: cfg.queue_depth,
             blocks_per_row: (cfg.row_bytes / cfg.transaction_bytes).max(1),
-            channels: cfg.channels as u64,
-            tx_bytes: cfg.transaction_bytes,
             time: 0,
             bus_free: 0,
             inflight: VecDeque::new(),
@@ -152,21 +149,22 @@ impl Channel {
         self.counters = Some(counters);
     }
 
-    fn bank_and_row(&self, addr: u64) -> (usize, u64) {
-        // Block-interleaved across channels; low column bits within a row
-        // for sequential-stream row locality (RoBaCoCh-style mapping).
-        let block = addr / self.tx_bytes;
-        let in_channel = block / self.channels;
-        let bank = ((in_channel / self.blocks_per_row) % self.banks.len() as u64) as usize;
-        let row = in_channel / self.blocks_per_row / self.banks.len() as u64;
-        (bank, row)
+    /// The bank and row of this channel's block `in_channel` (the
+    /// address's block index divided by the channel count, see
+    /// `DramSim::decode`). Low column bits within a row keep sequential
+    /// streams row-local (RoBaCoCh-style mapping).
+    pub(crate) fn bank_and_row(&self, in_channel: u64) -> (usize, u64) {
+        let row_slot = in_channel / self.blocks_per_row;
+        let banks = self.banks.len() as u64;
+        ((row_slot % banks) as usize, row_slot / banks)
     }
 
-    pub(crate) fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
+    /// Admits `req`, whose block within this channel is `in_channel`.
+    pub(crate) fn try_enqueue(&mut self, req: MemRequest, in_channel: u64, now: Cycle) -> bool {
         if self.queue.len() >= self.queue_depth {
             return false;
         }
-        let (bank, row) = self.bank_and_row(req.addr);
+        let (bank, row) = self.bank_and_row(in_channel);
         self.queue.push_back(Queued { req, arrival: now.raw(), bank, row });
         true
     }

@@ -45,6 +45,8 @@ use ptsim_event::{CompletionSource, Component};
 #[derive(Debug, Clone)]
 pub struct DramSim {
     cfg: DramConfig,
+    /// `log2(transaction_bytes)`: an address's block is `addr >> tx_shift`.
+    tx_shift: u32,
     channels: Vec<Channel>,
     completed: Vec<(RequestId, Cycle)>,
 }
@@ -52,9 +54,26 @@ pub struct DramSim {
 impl DramSim {
     /// Creates a DRAM model for `cfg`, with timings converted to core
     /// cycles at `freq_mhz`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.transaction_bytes` is not a power of two: addresses
+    /// are decoded with a shift. `SimConfig::validate` (and
+    /// `DramConfig::validate`) reject such a configuration with an error
+    /// first.
     pub fn new(cfg: &DramConfig, freq_mhz: f64) -> Self {
+        assert!(
+            cfg.transaction_bytes.is_power_of_two(),
+            "dram transaction bytes must be a power of two, got {}",
+            cfg.transaction_bytes
+        );
         let channels = (0..cfg.channels).map(|_| Channel::new(cfg, freq_mhz)).collect();
-        DramSim { cfg: cfg.clone(), channels, completed: Vec::new() }
+        DramSim {
+            cfg: cfg.clone(),
+            tx_shift: cfg.transaction_bytes.trailing_zeros(),
+            channels,
+            completed: Vec::new(),
+        }
     }
 
     /// The configuration this model was built from.
@@ -80,15 +99,23 @@ impl DramSim {
 
     /// Maps an address to its channel index (transaction-interleaved).
     pub fn channel_of(&self, addr: u64) -> usize {
-        ((addr / self.cfg.transaction_bytes) % self.cfg.channels as u64) as usize
+        self.decode(addr).0
+    }
+
+    /// Splits an address into its channel and its block index within that
+    /// channel: blocks of `transaction_bytes` interleave across channels.
+    fn decode(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.tx_shift;
+        let channels = self.cfg.channels as u64;
+        ((block % channels) as usize, block / channels)
     }
 
     /// Attempts to enqueue a transaction; returns `false` if the target
     /// channel's queue is full (the caller must retry later — this is the
     /// backpressure that throttles DMA engines).
     pub fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
-        let ch = self.channel_of(req.addr);
-        self.channels[ch].try_enqueue(req, now)
+        let (ch, in_channel) = self.decode(req.addr);
+        self.channels[ch].try_enqueue(req, in_channel, now)
     }
 
     /// Advances every channel's timeline to `to`, retiring requests.
@@ -317,5 +344,49 @@ mod tests {
         let t1 = done.iter().find(|(r, _)| r.raw() == 1).unwrap().1;
         // write (tRCD+tCL) + tWR + tRP + tRCD + tCL at 940 MHz ≥ 40 cycles.
         assert!(t1.raw() >= 40, "read after write conflict at {t1}");
+    }
+
+    /// The address map as closed-form divisions: channel, then bank and row.
+    fn closed_form(c: &DramConfig, addr: u64) -> (usize, usize, u64) {
+        let block = addr / c.transaction_bytes;
+        let channel = (block % c.channels as u64) as usize;
+        let in_channel = block / c.channels as u64;
+        let blocks_per_row = (c.row_bytes / c.transaction_bytes).max(1);
+        let banks = c.banks_per_channel as u64;
+        let bank = ((in_channel / blocks_per_row) % banks) as usize;
+        (channel, bank, in_channel / blocks_per_row / banks)
+    }
+
+    #[test]
+    fn shift_decode_matches_the_closed_form_on_odd_geometries() {
+        let mut rng = ptsim_common::rng::Rng::seed_from_u64(46);
+        for (channels, banks, row_bytes, tx) in
+            [(3, 6, 192, 64), (5, 7, 96, 32), (1, 1, 64, 64), (16, 16, 2048, 64), (7, 3, 1000, 8)]
+        {
+            let c = DramConfig {
+                channels,
+                banks_per_channel: banks,
+                row_bytes,
+                transaction_bytes: tx,
+                ..DramConfig::hbm2_tpu_v3()
+            };
+            let dram = DramSim::new(&c, 940.0);
+            let small = (0..4096u64).map(|i| i * 8);
+            let random = (0..4096).map(|_| rng.next_u64() >> rng.gen_range(0..48u32));
+            for addr in small.chain(random).chain([u64::MAX]) {
+                let (ch, in_channel) = dram.decode(addr);
+                let (bank, row) = dram.channels[ch].bank_and_row(in_channel);
+                assert_eq!(ch, dram.channel_of(addr), "{c:?} at {addr:#x}");
+                assert_eq!((ch, bank, row), closed_form(&c, addr), "{c:?} at {addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn transaction_bytes_off_a_power_of_two_panic() {
+        let c = DramConfig { transaction_bytes: 96, ..cfg() };
+        assert!(c.validate().is_err(), "the config layer rejects it first");
+        DramSim::new(&c, 940.0);
     }
 }

@@ -221,6 +221,31 @@ impl Cell {
         }
         self.buckets[idx] = Self::combine(self.agg, self.buckets[idx], value);
     }
+
+    /// Books a busy interval `[at, at + cycles)` of a `Sum` series: each
+    /// bucket it overlaps gains the overlapping cycles, so no bucket of a
+    /// serial lane ever holds more than its width. A zero-length interval
+    /// records a zero at `at`.
+    fn record_span(&mut self, at: u64, cycles: u64, max_buckets: usize) {
+        debug_assert_eq!(self.agg, Agg::Sum, "only sums spread over time");
+        if cycles == 0 {
+            return self.record(at, 0, max_buckets);
+        }
+        self.total = Self::combine(self.agg, self.total, cycles);
+        let end = at + cycles;
+        while ((end - 1) / self.width) as usize >= max_buckets {
+            self.coalesce();
+        }
+        let (first, last) = ((at / self.width) as usize, ((end - 1) / self.width) as usize);
+        if last >= self.buckets.len() {
+            self.buckets.resize(last + 1, 0);
+        }
+        for idx in first..=last {
+            let lo = at.max(idx as u64 * self.width);
+            let hi = end.min((idx as u64 + 1).saturating_mul(self.width));
+            self.buckets[idx] = Self::combine(self.agg, self.buckets[idx], hi - lo);
+        }
+    }
 }
 
 /// A read-only snapshot of one series.
@@ -315,35 +340,39 @@ impl CounterHub {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn record(&self, key: CounterKey, at: u64, value: u64) {
-        let mut inner = self.lock();
+    fn cell<'a>(&self, inner: &'a mut HubInner, key: CounterKey) -> &'a mut Cell {
         let width = self.cfg.cycles_per_bucket;
-        let cell = inner.series.entry(key).or_insert_with(|| Cell::new(key.agg(), width));
-        cell.record(at, value, self.cfg.max_buckets);
+        inner.series.entry(key).or_insert_with(|| Cell::new(key.agg(), width))
     }
 
-    /// Charges `cycles` of busy time on `core`'s `unit` for `kernel`,
-    /// stamped at the cycle the work was issued.
+    fn record(&self, key: CounterKey, at: u64, value: u64) {
+        let mut inner = self.lock();
+        self.cell(&mut inner, key).record(at, value, self.cfg.max_buckets);
+    }
+
+    /// Charges the busy interval `[at, at + cycles)` on `core`'s `unit` for
+    /// `kernel`: every bucket the interval overlaps gains the cycles it
+    /// covers, in both the lane series and the per-kernel series.
     pub fn record_compute(&self, core: usize, unit: BusyUnit, kernel: &str, at: u64, cycles: u64) {
         let core = core as u32;
         let lane_key = match unit {
             BusyUnit::Matrix => CounterKey::CoreMatrixBusy { core },
             BusyUnit::Vector => CounterKey::CoreVectorBusy { core },
         };
-        let kid = {
-            let mut inner = self.lock();
-            match inner.kernel_ids.get(kernel) {
-                Some(&id) => id,
-                None => {
-                    let id = inner.kernel_names.len() as u32;
-                    inner.kernel_names.push(kernel.to_string());
-                    inner.kernel_ids.insert(kernel.to_string(), id);
-                    id
-                }
+        let mut inner = self.lock();
+        let kid = match inner.kernel_ids.get(kernel) {
+            Some(&id) => id,
+            None => {
+                let id = inner.kernel_names.len() as u32;
+                inner.kernel_names.push(kernel.to_string());
+                inner.kernel_ids.insert(kernel.to_string(), id);
+                id
             }
         };
-        self.record(lane_key, at, cycles);
-        self.record(CounterKey::KernelBusy { core, kernel: kid }, at, cycles);
+        let max_buckets = self.cfg.max_buckets;
+        self.cell(&mut inner, lane_key).record_span(at, cycles, max_buckets);
+        let kernel_key = CounterKey::KernelBusy { core, kernel: kid };
+        self.cell(&mut inner, kernel_key).record_span(at, cycles, max_buckets);
     }
 
     /// Records one DRAM transaction retiring on `channel` at `at`.
@@ -490,6 +519,30 @@ mod tests {
         assert_eq!(m.total, 22);
         let k = snap.iter().find(|s| s.name == "core0.kernel.gemm").unwrap();
         assert_eq!(k.buckets, vec![15, 7]);
+    }
+
+    #[test]
+    fn busy_spans_fill_no_bucket_past_its_width() {
+        // Back-to-back tiles on one lane, most longer than a bucket; the run
+        // outgrows 16 buckets, so the series coalesces on the way.
+        let h = hub(64, 16);
+        let mut at = 0;
+        for cycles in [10, 300, 64, 1, 700, 129, 0, 2000, 63] {
+            h.record_compute(0, BusyUnit::Matrix, "k", at, cycles);
+            at += cycles;
+        }
+        for s in h.snapshot() {
+            assert!(s.cycles_per_bucket > 64, "{} did not coalesce", s.name);
+            assert_eq!(s.buckets.iter().sum::<u64>(), at, "{}", s.name);
+            assert_eq!(s.total, at, "{}", s.name);
+            let full = at / s.cycles_per_bucket;
+            for (i, &b) in s.buckets.iter().enumerate() {
+                // The lane never idles, so every bucket before the last is full.
+                let want =
+                    if (i as u64) < full { s.cycles_per_bucket } else { at % s.cycles_per_bucket };
+                assert_eq!(b, want, "{} bucket {i}", s.name);
+            }
+        }
     }
 
     #[test]

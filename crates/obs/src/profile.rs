@@ -296,6 +296,26 @@ mod tests {
     }
 
     #[test]
+    fn one_busy_lane_charges_each_kernel_its_busy_total() {
+        // Tiles longer than a bucket, across bucket edges, with gaps.
+        let h = hub(100);
+        for (kernel, at, cycles) in
+            [("a", 0, 250), ("b", 250, 130), ("a", 380, 90), ("b", 600, 1000), ("a", 1700, 5)]
+        {
+            h.record_compute(0, BusyUnit::Matrix, kernel, at, cycles);
+        }
+        let a = attribute(&h, 1705);
+        assert_eq!(a.attributed_cycles(), 1705);
+        for s in h.snapshot() {
+            if let CounterKey::KernelBusy { kernel, .. } = s.key {
+                let name = h.kernel_name(kernel).unwrap();
+                let row = a.kernels.iter().find(|k| k.kernel == name).unwrap();
+                assert_eq!(row.compute, s.total, "kernel {name}");
+            }
+        }
+    }
+
+    #[test]
     fn overlapping_lanes_are_capped_at_wall_clock() {
         let h = hub(100);
         h.record_compute(0, BusyUnit::Matrix, "a", 0, 100);

@@ -126,9 +126,8 @@ struct DmaJob {
     job: usize,
     node: usize,
     is_write: bool,
-    base: u64,
-    stride: u64,
-    row_bytes: u64,
+    /// The address walk, positioned at transaction `next_tx`.
+    walk: AddrWalk,
     started: u64,
     next_tx: u64,
     done_tx: u64,
@@ -137,12 +136,40 @@ struct DmaJob {
     tag: u32,
 }
 
-impl DmaJob {
-    fn tx_addr(&self, i: u64, tx_bytes: u64) -> u64 {
-        let per_row = self.row_bytes.div_ceil(tx_bytes).max(1);
-        let row = i / per_row;
-        let within = i % per_row;
-        self.base + row * self.stride + within * tx_bytes
+/// The transaction addresses of a strided DMA, `rows` rows of `row_bytes`
+/// each `stride` apart: transaction `i` reads `base + (i / per_row) * stride
+/// + (i % per_row) * tx_bytes`. The walk keeps `(row_base, within)` for the
+/// current `i`, so no transaction pays a division.
+#[derive(Debug, Clone, Copy)]
+struct AddrWalk {
+    stride: u64,
+    tx_bytes: u64,
+    /// Transactions per row, at least one.
+    per_row: u64,
+    /// Start address of the current row.
+    row_base: u64,
+    /// Index of the current transaction within its row, below `per_row`.
+    within: u64,
+}
+
+impl AddrWalk {
+    fn new(base: u64, stride: u64, row_bytes: u64, tx_bytes: u64) -> Self {
+        let per_row = row_bytes.div_ceil(tx_bytes).max(1);
+        AddrWalk { stride, tx_bytes, per_row, row_base: base, within: 0 }
+    }
+
+    fn addr(&self) -> u64 {
+        self.row_base + self.within * self.tx_bytes
+    }
+
+    /// Steps to the next transaction.
+    fn advance(&mut self) {
+        self.within += 1;
+        if self.within == self.per_row {
+            self.within = 0;
+            // Past the last row this address is never read, so it may wrap.
+            self.row_base = self.row_base.wrapping_add(self.stride);
+        }
     }
 }
 
@@ -160,58 +187,96 @@ enum TxPhase {
 
 #[derive(Debug, Clone, Copy)]
 struct TxRef {
-    dma_id: usize,
-    phase: TxPhase,
     addr: u64,
+    /// Index into the engine's DMA slab.
+    dma_id: u32,
+    /// NoC port of the memory channel serving `addr`, decoded once at
+    /// issue (`cores + channel`).
+    port: u16,
+    phase: TxPhase,
 }
 
-/// In-flight transactions, indexed by `rid - base`.
+/// In-flight transactions, a power-of-two ring indexed by `rid & mask`.
 ///
 /// Ids are drawn in increasing order before admission is tried, so a refused
 /// attempt or an L1 hit leaves a hole (`None`) and ids are never renumbered.
-/// Retiring the oldest transaction pops the leading holes, so the window
-/// spans the oldest live id to the newest one.
+/// `[base, end)` is the window from the oldest live id to one past the newest
+/// inserted one; every slot outside it is `None`. Retiring the oldest
+/// transaction moves `base` over the leading holes. An insert past the
+/// ring's capacity doubles it and re-places the window's entries.
 #[derive(Debug, Default)]
 struct TxRing {
     base: u64,
-    slots: VecDeque<Option<TxRef>>,
+    end: u64,
+    slots: Vec<Option<TxRef>>,
     live: usize,
 }
 
 impl TxRing {
+    /// Slots a ring starts with.
+    const MIN_SLOTS: usize = 64;
+
+    fn mask(&self) -> u64 {
+        self.slots.len() as u64 - 1
+    }
+
     /// Registers `tx` under `rid`.
     ///
     /// # Panics
     ///
     /// Panics if `rid` is below the window or already live.
     fn insert(&mut self, rid: RequestId, tx: TxRef) {
-        if self.slots.is_empty() {
-            self.base = rid.raw();
+        let id = rid.raw();
+        if self.base == self.end {
+            self.base = id;
+            self.end = id;
         }
-        let i = rid.raw().checked_sub(self.base).expect("transaction id below the ring window");
-        let i = usize::try_from(i).expect("ring window fits in memory");
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+        let span = id.checked_sub(self.base).expect("transaction id below the ring window");
+        let span = usize::try_from(span).expect("ring window fits in memory");
+        if span >= self.slots.len() {
+            self.grow(span + 1);
         }
+        let i = (id & self.mask()) as usize;
         assert!(self.slots[i].replace(tx).is_none(), "transaction {rid:?} already in flight");
+        self.end = self.end.max(id + 1);
         self.live += 1;
     }
 
+    /// Doubles the ring until it holds `span` slots and re-places the
+    /// window's live entries.
+    fn grow(&mut self, span: usize) {
+        let len = span.next_power_of_two().max(2 * self.slots.len()).max(Self::MIN_SLOTS);
+        let mut slots = vec![None; len];
+        let mask = len as u64 - 1;
+        if !self.slots.is_empty() {
+            let old = self.mask();
+            for id in self.base..self.end {
+                slots[(id & mask) as usize] = self.slots[(id & old) as usize].take();
+            }
+        }
+        self.slots = slots;
+    }
+
     fn slot(&mut self, rid: RequestId) -> Option<&mut Option<TxRef>> {
-        let i = usize::try_from(rid.raw().checked_sub(self.base)?).ok()?;
-        self.slots.get_mut(i)
+        let id = rid.raw();
+        if id < self.base || id >= self.end {
+            return None;
+        }
+        let i = (id & self.mask()) as usize;
+        Some(&mut self.slots[i])
     }
 
     fn get_mut(&mut self, rid: RequestId) -> Option<&mut TxRef> {
         self.slot(rid)?.as_mut()
     }
 
-    /// Retires `rid`, then drops the holes at the front of the window.
+    /// Retires `rid`, then moves `base` over the holes at the front of the
+    /// window.
     fn remove(&mut self, rid: RequestId) -> Option<TxRef> {
         let tx = self.slot(rid)?.take()?;
         self.live -= 1;
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
+        let mask = self.mask();
+        while self.base < self.end && self.slots[(self.base & mask) as usize].is_none() {
             self.base += 1;
         }
         Some(tx)
@@ -374,8 +439,14 @@ pub struct TogSim {
 
 impl TogSim {
     /// Creates a simulator for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if cores plus DRAM channels exceed 65 536 NoC ports, which
+    /// `SimConfig::validate`'s count bounds rule out.
     pub fn new(cfg: &SimConfig) -> Self {
         let ports = cfg.npu.cores + cfg.dram.channels;
+        assert!(ports <= 1 << 16, "{ports} NoC ports exceed the engine's 16-bit port ids");
         let mut noc = NocSim::new(&cfg.noc, ports, cfg.npu.freq_mhz);
         if let Some(ch) = &cfg.noc.chiplet {
             // Cores and channels each split evenly across chiplets.
@@ -540,8 +611,10 @@ impl TogSim {
         (spec.core_offset + (node_core as usize % spec.cores.max(1))) % self.cores.len()
     }
 
-    fn channel_port(&self, addr: u64) -> usize {
-        self.cfg.npu.cores + self.dram.channel_of(addr)
+    /// NoC port of the memory channel serving `addr`.
+    fn channel_port(&self, addr: u64) -> u16 {
+        // `TogSim::new` checked that every port fits.
+        (self.cfg.npu.cores + self.dram.channel_of(addr)) as u16
     }
 
     /// Runs every submitted job to completion on the event kernel: dirty
@@ -911,18 +984,16 @@ impl TogSim {
                     FlatNodeKind::Compute { .. } => unreachable!("dma queue"),
                 };
             let tx_bytes = self.cfg.dram.transaction_bytes;
-            let per_row = row_bytes.div_ceil(tx_bytes).max(1);
+            let walk = AddrWalk::new(base, stride, row_bytes, tx_bytes);
             let dma = DmaJob {
                 job,
                 node,
                 is_write,
-                base,
-                stride,
-                row_bytes,
+                walk,
                 started: self.now.raw(),
                 next_tx: 0,
                 done_tx: 0,
-                total_tx: per_row * rows.max(1),
+                total_tx: walk.per_row * rows.max(1),
                 core,
                 tag: self.jobs[job].spec.tag,
             };
@@ -931,6 +1002,7 @@ impl TogSim {
                 t.dma_issue(core, self.now.raw(), dma.total_tx * tx_bytes, is_write, dma.tag);
             }
             let id = self.dma_slab.len();
+            assert!(id < u32::MAX as usize, "a run issues fewer than 2^32 DMA descriptors");
             self.dma_slab.push(dma);
             self.cores[core].active_dma.push(id);
             self.cores[core].dma_issue_free = self.now + self.cfg.npu.dma_issue_cycles;
@@ -971,7 +1043,10 @@ impl TogSim {
                     if d.next_tx >= d.total_tx {
                         break;
                     }
-                    let addr = d.tx_addr(d.next_tx, tx_bytes);
+                    let addr = d.walk.addr();
+                    let port = self.channel_port(addr);
+                    // Checked against `u32::MAX` at activation.
+                    let tx = |phase| TxRef { addr, dma_id: dma_id as u32, port, phase };
                     let rid = self.ids.next_id();
                     let ok = if d.is_write {
                         if let Some(cache) = &mut self.caches[d.core] {
@@ -979,15 +1054,10 @@ impl TogSim {
                         }
                         // Write data first crosses the NoC to the memory
                         // controller.
-                        let msg = NocMessage {
-                            id: rid,
-                            src: d.core,
-                            dst: self.channel_port(addr),
-                            bytes: tx_bytes,
-                        };
+                        let msg =
+                            NocMessage { id: rid, src: d.core, dst: port.into(), bytes: tx_bytes };
                         if self.noc.try_send(msg, self.now) {
-                            self.tx_refs
-                                .insert(rid, TxRef { dma_id, phase: TxPhase::WriteNoc, addr });
+                            self.tx_refs.insert(rid, tx(TxPhase::WriteNoc));
                             true
                         } else {
                             false
@@ -1011,8 +1081,7 @@ impl TogSim {
                             if let Some(cache) = &mut self.caches[d.core] {
                                 cache.fill(addr);
                             }
-                            self.tx_refs
-                                .insert(rid, TxRef { dma_id, phase: TxPhase::ReadDram, addr });
+                            self.tx_refs.insert(rid, tx(TxPhase::ReadDram));
                             true
                         } else {
                             false
@@ -1022,7 +1091,9 @@ impl TogSim {
                         blocked = true;
                         break;
                     }
-                    self.dma_slab[dma_id].next_tx += 1;
+                    let d = &mut self.dma_slab[dma_id];
+                    d.next_tx += 1;
+                    d.walk.advance();
                     progress = true;
                 }
             }
@@ -1072,14 +1143,15 @@ impl TogSim {
             let Some(tx) = self.tx_refs.get_mut(rid) else {
                 continue;
             };
-            let TxRef { dma_id, addr, phase } = *tx;
+            let TxRef { dma_id, port, phase, .. } = *tx;
+            let dma_id = dma_id as usize;
             match phase {
                 TxPhase::ReadDram => {
                     // Data returns over the NoC to the core.
                     tx.phase = TxPhase::ReadNoc;
                     let msg = NocMessage {
                         id: rid,
-                        src: self.channel_port(addr),
+                        src: port.into(),
                         dst: self.dma_slab[dma_id].core,
                         bytes: self.cfg.dram.transaction_bytes,
                     };
@@ -1103,7 +1175,8 @@ impl TogSim {
             let Some(tx) = self.tx_refs.get_mut(rid) else {
                 continue;
             };
-            let TxRef { dma_id, addr, phase } = *tx;
+            let TxRef { addr, dma_id, port, phase } = *tx;
+            let dma_id = dma_id as usize;
             match phase {
                 TxPhase::ReadNoc => {
                     self.tx_refs.remove(rid);
@@ -1114,7 +1187,8 @@ impl TogSim {
                     let tag = self.dma_slab[dma_id].tag;
                     let req = MemRequest::write(rid, addr, self.cfg.dram.transaction_bytes, tag);
                     if !self.mem_enqueue(req, at) {
-                        self.retry_dram[self.dram.channel_of(addr)].push_back(req);
+                        let channel = usize::from(port) - self.cfg.npu.cores;
+                        self.retry_dram[channel].push_back(req);
                     }
                 }
                 _ => {}
@@ -1522,8 +1596,9 @@ mod retry_tests {
             // registers it before offering it to DRAM.
             let mut write = |sim: &mut TogSim, i: u64| {
                 let req = MemRequest::write(ids.next_id(), addr(i), tx, 0);
+                let port = sim.channel_port(req.addr);
                 let phase = TxPhase::WriteDram;
-                sim.tx_refs.insert(req.id, TxRef { dma_id: 0, phase, addr: req.addr });
+                sim.tx_refs.insert(req.id, TxRef { addr: req.addr, dma_id: 0, port, phase });
                 req
             };
             let mut i = 0;
@@ -1694,9 +1769,11 @@ mod trace_tests {
 #[cfg(test)]
 mod ring_tests {
     use super::*;
+    use ptsim_common::rng::Rng;
+    use std::collections::BTreeMap;
 
-    fn tx(dma_id: usize) -> TxRef {
-        TxRef { dma_id, phase: TxPhase::ReadDram, addr: 0 }
+    fn tx(dma_id: u32) -> TxRef {
+        TxRef { addr: 0, dma_id, port: 0, phase: TxPhase::ReadDram }
     }
 
     fn rid(id: u64) -> RequestId {
@@ -1707,15 +1784,25 @@ mod ring_tests {
     fn holey() -> TxRing {
         let mut ring = TxRing::default();
         for id in [0, 3, 7] {
-            ring.insert(rid(id), tx(id as usize));
+            ring.insert(rid(id), tx(id as u32));
         }
         ring
     }
 
     #[test]
+    fn a_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<TxRef>>(), 16);
+    }
+
+    /// `(live, base, window length)`.
+    fn shape(ring: &TxRing) -> (usize, u64, u64) {
+        (ring.len(), ring.base, ring.end - ring.base)
+    }
+
+    #[test]
     fn holes_from_unused_ids_are_empty_slots() {
         let mut ring = holey();
-        assert_eq!((ring.len(), ring.base, ring.slots.len()), (3, 0, 8));
+        assert_eq!(shape(&ring), (3, 0, 8));
         for id in [1, 2, 4, 5, 6, 8, 1 << 40] {
             assert!(ring.get_mut(rid(id)).is_none(), "id {id}");
             assert!(ring.remove(rid(id)).is_none(), "id {id}");
@@ -1729,8 +1816,8 @@ mod ring_tests {
         let mut ring = holey();
         assert_eq!(ring.remove(rid(7)).map(|t| t.dma_id), Some(7));
         assert_eq!(ring.remove(rid(3)).map(|t| t.dma_id), Some(3));
-        // The oldest id is still live, so nothing compacts.
-        assert_eq!((ring.len(), ring.base, ring.slots.len()), (1, 0, 8));
+        // The oldest id is still live, so the window stays.
+        assert_eq!(shape(&ring), (1, 0, 8));
         assert!(ring.remove(rid(3)).is_none(), "retired twice");
         assert_eq!(ring.len(), 1);
         // A later phase rewrites the entry in place.
@@ -1742,14 +1829,14 @@ mod ring_tests {
     fn retiring_the_front_pops_leading_holes() {
         let mut ring = holey();
         ring.remove(rid(0));
-        assert_eq!((ring.len(), ring.base, ring.slots.len()), (2, 3, 5));
+        assert_eq!(shape(&ring), (2, 3, 5));
         ring.remove(rid(3));
-        assert_eq!((ring.len(), ring.base, ring.slots.len()), (1, 7, 1));
+        assert_eq!(shape(&ring), (1, 7, 1));
         ring.remove(rid(7));
-        assert_eq!((ring.len(), ring.base, ring.slots.len()), (0, 8, 0));
+        assert_eq!(shape(&ring), (0, 8, 0));
         // An empty ring restarts its window at the next id, however far on.
         ring.insert(rid(100), tx(1));
-        assert_eq!((ring.len(), ring.base, ring.slots.len()), (1, 100, 1));
+        assert_eq!(shape(&ring), (1, 100, 1));
     }
 
     #[test]
@@ -1762,5 +1849,111 @@ mod ring_tests {
             assert!(ring.remove(rid(id)).is_none(), "id {id}");
         }
         assert_eq!(ring.len(), 2);
+    }
+
+    #[test]
+    fn ids_that_share_a_slot_modulo_the_ring_are_told_apart() {
+        let mut ring = TxRing::default();
+        ring.insert(rid(5), tx(5));
+        let len = ring.slots.len() as u64;
+        // `5 + len` maps onto the slot of 5: the ring doubles instead.
+        ring.insert(rid(5 + len), tx(6));
+        assert_eq!(ring.slots.len() as u64, 2 * len);
+        assert_eq!(ring.get_mut(rid(5)).map(|t| t.dma_id), Some(5));
+        assert_eq!(ring.get_mut(rid(5 + len)).map(|t| t.dma_id), Some(6));
+        assert!(ring.get_mut(rid(5 + 2 * len)).is_none());
+    }
+
+    /// Random inserts (with holes), lookups, rewrites and out-of-order
+    /// retirements against a `BTreeMap`, with a live window that grows over
+    /// several doublings, shrinks and wraps the ring many times.
+    #[test]
+    fn ring_matches_a_map_model() {
+        let mut rng = Rng::seed_from_u64(0x7e46);
+        let mut ring = TxRing::default();
+        let mut model: BTreeMap<u64, TxRef> = BTreeMap::new();
+        let mut next = 0u64;
+        let mut sizes = Vec::new();
+        for step in 0..60_000u64 {
+            // Phases: grow to ~800 live, drain to a handful, repeat.
+            let filling = (step / 2_000) % 2 == 0;
+            let insert_p = if filling { 0.7 } else { 0.3 };
+            if rng.gen_bool(insert_p) {
+                // Skipped ids are holes: refused attempts and L1 hits.
+                next += rng.gen_range(0..3u64);
+                let t = TxRef {
+                    addr: rng.next_u64(),
+                    dma_id: rng.next_u64() as u32,
+                    port: rng.next_u64() as u16,
+                    phase: TxPhase::WriteNoc,
+                };
+                ring.insert(rid(next), t);
+                model.insert(next, t);
+                next += 1;
+            } else if !model.is_empty() {
+                // Retire mostly near the front, sometimes anywhere.
+                let k = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..model.len().min(8))
+                } else {
+                    rng.gen_range(0..model.len())
+                };
+                let id = *model.keys().nth(k).unwrap();
+                let (got, want) = (ring.remove(rid(id)), model.remove(&id));
+                assert_eq!(got.map(|t| (t.addr, t.dma_id)), want.map(|t| (t.addr, t.dma_id)));
+            }
+            // Probe live ids, holes, ids below the window and past its end.
+            for _ in 0..2 {
+                let probe = rng.gen_range(0..next + 4);
+                let want = model.get(&probe).map(|t| (t.addr, t.dma_id, t.port));
+                let got = ring.get_mut(rid(probe)).map(|t| (t.addr, t.dma_id, t.port));
+                assert_eq!(got, want, "probe {probe} at step {step}");
+                if let (Some(t), Some(m)) = (ring.get_mut(rid(probe)), model.get_mut(&probe)) {
+                    t.phase = TxPhase::WriteDram;
+                    m.phase = TxPhase::WriteDram;
+                }
+            }
+            assert_eq!(ring.len(), model.len());
+            let oldest = model.keys().next().copied();
+            assert_eq!(oldest.map(|id| id == ring.base), oldest.map(|_| true), "base at {step}");
+            sizes.push(ring.slots.len());
+        }
+        // The window grew across several doublings and the ids wrapped the
+        // final ring many times.
+        let peak = sizes.iter().copied().max().unwrap();
+        assert!(peak >= 8 * TxRing::MIN_SLOTS, "peak {peak} slots");
+        assert!(next > 4 * peak as u64, "{next} ids over {peak} slots");
+    }
+}
+
+#[cfg(test)]
+mod walk_tests {
+    use super::*;
+
+    /// Every transaction address of the walk equals the closed form
+    /// `base + (i / per_row) * stride + (i % per_row) * tx_bytes`.
+    #[test]
+    fn incremental_walk_matches_the_closed_form() {
+        // (base, stride, rows, row_bytes, tx_bytes)
+        let cases = [
+            (0x1000, 4096, 8, 4096, 64),        // rows of whole transactions
+            (0x1000, 1024, 5, 1000, 64),        // row_bytes not a multiple of tx_bytes
+            (0x40, 1 << 20, 6, 256, 64),        // stride much larger than a row
+            (0x2000, 512, 1, 8192, 64),         // one row
+            (0x3000, 192, 9, 64, 64),           // one transaction per row
+            (0x3000, 100, 9, 12, 64),           // a row smaller than a transaction
+            (0, 0, 4, 128, 32),                 // zero stride re-reads one row
+            (0x7, 96, 3, 200, 8),               // unaligned base, odd stride
+            (0x1_0000_0000, 4096, 0, 4096, 64), // `rows = 0` streams one row
+        ];
+        for (base, stride, rows, row_bytes, tx_bytes) in cases {
+            let mut walk = AddrWalk::new(base, stride, row_bytes, tx_bytes);
+            let per_row = row_bytes.div_ceil(tx_bytes).max(1);
+            assert_eq!(walk.per_row, per_row);
+            for i in 0..per_row * u64::max(rows, 1) {
+                let want = base + (i / per_row) * stride + (i % per_row) * tx_bytes;
+                assert_eq!(walk.addr(), want, "tx {i} of {:?}", (base, stride, rows, row_bytes));
+                walk.advance();
+            }
+        }
     }
 }

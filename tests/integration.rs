@@ -181,3 +181,25 @@ fn optimized_graph_is_equivalent_after_dce_and_folding() {
     let b = exec::execute(&opt, &[x], &[]).unwrap();
     assert!(a.outputs()[0].allclose(b.outputs()[0], 1e-6));
 }
+
+/// The benchmark goldens cover only 16 channels x 16 banks with 2 KiB rows.
+/// This pins a GEMM on a geometry where no count is a power of two (three
+/// channels, six banks, 192-byte rows, three crossbar links per port), so a
+/// change to the address decode or the transaction walk that only holds on
+/// powers of two shows here.
+#[test]
+fn gemm_on_an_odd_memory_geometry_is_pinned() {
+    let mut cfg = SimConfig::tiny();
+    cfg.dram.channels = 3;
+    cfg.dram.banks_per_channel = 6;
+    cfg.dram.row_bytes = 192;
+    cfg.noc = ptsim_common::config::NocConfig::crossbar_tpu_v3();
+    cfg.noc.port_links = 3;
+    cfg.validate().unwrap();
+    let report =
+        Simulator::new(cfg).run(&models::gemm_rect(96, 80, 48), RunOptions::tls()).unwrap();
+    let d = &report.dram;
+    let got = (report.total_cycles, d.reads, d.writes, d.row_hits, d.row_conflicts);
+    assert_eq!(got, (71_854, 1440, 576, 769, 1229));
+    assert_eq!(report.noc.messages, 2016);
+}

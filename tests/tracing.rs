@@ -4,6 +4,7 @@
 
 use ptsim_common::config::SimConfig;
 use pytorchsim::models;
+use pytorchsim::obs::{profile, CounterConfig, CounterHub, CounterKey};
 use pytorchsim::trace::{chrome, validate, EventData, Tracer, Track};
 use pytorchsim::{ClusterConfig, ClusterSim, RunOptions, Simulator};
 
@@ -85,4 +86,35 @@ fn cluster_iteration_traces_both_allreduce_phases() {
     let json = chrome::export_chrome_trace(&events);
     let check = validate::validate_chrome_trace(&json).expect("trace must validate");
     assert!(check.spans >= 2, "allreduce phases must appear as spans");
+}
+
+/// `ptsim profile resnet --bench` at two bucket widths: the bucket only sets
+/// the resolution, so the compute column is the same, and it covers the
+/// matrix unit's busy time (99 % of the run). No lane bucket holds more
+/// busy cycles than its width.
+#[test]
+fn resnet_compute_share_does_not_depend_on_the_bucket_width() {
+    let sim = Simulator::new(SimConfig::tpu_v3_single_core());
+    let model = sim.compile(&models::resnet18(1)).unwrap();
+    let profile_at = |cycles_per_bucket| {
+        let hub = CounterHub::shared(CounterConfig { cycles_per_bucket, ..Default::default() });
+        let opts = RunOptions::tls().with_counters(hub.clone());
+        let report = sim.run_compiled(&model, &opts).unwrap();
+        for s in hub.snapshot() {
+            if matches!(
+                s.key,
+                CounterKey::CoreMatrixBusy { .. } | CounterKey::CoreVectorBusy { .. }
+            ) {
+                let over = s.buckets.iter().position(|&b| b > s.cycles_per_bucket);
+                assert_eq!(over, None, "{} overfull at width {}", s.name, s.cycles_per_bucket);
+            }
+        }
+        let attr = profile::attribute(&hub, report.total_cycles);
+        let compute: u64 = attr.kernels.iter().map(|k| k.compute).sum();
+        (compute, report.total_cycles)
+    };
+    let (fine, total) = profile_at(1024);
+    let (coarse, _) = profile_at(16384);
+    assert_eq!(fine, coarse, "compute cycles moved with the bucket width");
+    assert!(fine as f64 >= 0.95 * total as f64, "compute {fine} of {total} cycles");
 }
